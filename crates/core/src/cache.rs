@@ -32,7 +32,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::params::{BusPolicy, Workload};
+use crate::params::Workload;
 use crate::scenario::{Evaluation, HotModuleSummary, OccupancySummary, Scenario};
 use crate::sim::service::ServiceTime;
 use busnet_sim::counters::{SimWindow, WindowSeries};
@@ -112,20 +112,17 @@ pub fn workload_fingerprint(workload: &Workload) -> String {
 /// identically, as the engines treat them identically).
 pub fn scenario_fingerprint(scenario: &Scenario) -> String {
     let p = &scenario.params;
-    let policy = match scenario.policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
-    };
     let service = match scenario.service() {
         ServiceTime::Constant(c) => format!("const:{c}"),
         ServiceTime::Geometric { mean } => format!("geom:{}", f64_hex(mean)),
     };
     format!(
-        "n={}|m={}|r={}|p={}|policy={policy}|buf={}|arb={}|wl={}|svc={service}|buses={}",
+        "n={}|m={}|r={}|p={}|policy={}|buf={}|arb={}|wl={}|svc={service}|buses={}",
         p.n(),
         p.m(),
         p.r(),
         f64_hex(p.p()),
+        scenario.policy.name(),
         scenario.buffering.name(),
         scenario.arbitration.name(),
         workload_fingerprint(&scenario.workload),
@@ -724,7 +721,7 @@ fn parse_record(line: &str) -> Option<(String, CachedEvaluation)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{ArbitrationKind, Buffering, SystemParams};
+    use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams};
     use crate::scenario::{BusSimEval, Evaluator, SimBudget};
 
     fn scenario() -> Scenario {
@@ -876,16 +873,18 @@ mod tests {
         EvalCache::with_dir(&dir).unwrap().insert(&key, &evaluation);
         let journal = dir.join("evalcache.jsonl");
         let whole = std::fs::read_to_string(&journal).unwrap();
+        // Nesting this deep once overflowed the parser's stack.
+        let too_deep = "[".repeat(300_000);
         std::fs::write(
             &journal,
             format!(
-                "not json at all\n{whole}{{\"schema\":\"busnet-evalcache-v1\",\"key\":\"k\"}}\n"
+                "not json at all\n{too_deep}\n{whole}{{\"schema\":\"busnet-evalcache-v1\",\"key\":\"k\"}}\n"
             ),
         )
         .unwrap();
         let warm = EvalCache::with_dir(&dir).unwrap();
         assert_eq!(warm.stats().loaded, 1, "the good line still loads");
-        assert_eq!(warm.stats().skipped, 2, "both bad lines counted");
+        assert_eq!(warm.stats().skipped, 3, "every bad line counted");
         assert_eq!(warm.stats().torn, 0);
         assert!(warm.lookup(&key).is_some());
         let _ = std::fs::remove_dir_all(&dir);

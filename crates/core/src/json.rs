@@ -7,6 +7,35 @@
 //! rejected: cache keys and protocol identifiers are quote-free ASCII
 //! by construction, and rejecting a request is always safe (the client
 //! gets a structured error reply).
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: the parser recurses once per
+//! container level, so an unbounded `[[[[…` line would otherwise
+//! overflow the stack and abort the whole process (no `catch_unwind`
+//! can intercept a stack overflow).
+
+/// Deepest container nesting the parser accepts. The journal and the
+/// serve protocol need at most 4 levels; deeper input is rejected as
+/// malformed.
+pub const MAX_DEPTH: usize = 32;
+
+/// Escapes `s` for embedding inside a JSON string literal: quotes,
+/// backslashes, and control characters. The one escaper behind every
+/// message that sweep rows and serve replies embed.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// The JSON subset the journal and the serve protocol use.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,11 +102,24 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Parses one container, refusing to nest past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn skip_ws(&mut self) {
@@ -99,8 +141,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Option<Json> {
         self.skip_ws();
         match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Json::Str),
             b'n' => {
                 if self.bytes[self.pos..].starts_with(b"null") {
@@ -251,5 +293,19 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "\"esc\\\"aped\"", "{\"a\":1} trailing", "nul"] {
             assert_eq!(Json::parse(bad), None, "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_some(), "the cap itself parses");
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)), None);
+        // One such line used to overflow the stack and abort the server.
+        assert_eq!(Json::parse(&"[".repeat(300_000)), None);
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(escape("a\"b\\c\nd\te\u{1}"), "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 }

@@ -52,6 +52,7 @@
 
 pub mod analytic;
 pub mod cache;
+pub mod json;
 pub mod metrics;
 pub mod params;
 pub mod scenario;
@@ -59,7 +60,6 @@ pub mod serve;
 pub mod sim;
 
 mod error;
-mod json;
 
 pub use error::CoreError;
 pub use metrics::Metrics;

@@ -23,6 +23,24 @@ pub enum BusPolicy {
     MemoryPriority,
 }
 
+impl BusPolicy {
+    /// Stable textual id (`proc`, `mem`) shared by scenario labels,
+    /// sweep columns, the serve protocol, and cache fingerprints.
+    pub fn name(self) -> &'static str {
+        match self {
+            BusPolicy::ProcessorPriority => "proc",
+            BusPolicy::MemoryPriority => "mem",
+        }
+    }
+
+    /// Parses a textual id as produced by [`BusPolicy::name`].
+    pub fn from_name(name: &str) -> Option<BusPolicy> {
+        [BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority]
+            .into_iter()
+            .find(|policy| policy.name() == name)
+    }
+}
+
 /// Memory-module buffering scheme (paper §6, generalized to depth `k`).
 ///
 /// The paper studies two schemes: no buffers (§§2–5) and one-deep

@@ -192,10 +192,7 @@ impl Scenario {
     /// `n=8 m=16 r=8 p=1 proc unbuf` (non-default arbitration kinds
     /// append their name).
     pub fn label(&self) -> String {
-        let policy = match self.policy {
-            BusPolicy::ProcessorPriority => "proc",
-            BusPolicy::MemoryPriority => "mem",
-        };
+        let policy = self.policy.name();
         let buffering = match self.buffering {
             Buffering::Unbuffered => "unbuf".to_owned(),
             Buffering::Buffered => "buf".to_owned(),
@@ -419,8 +416,8 @@ pub trait Evaluator: Send + Sync {
     }
 
     /// Evaluates one unit warm-started from a cheap external EBW
-    /// estimate (the fluid screening pre-pass of
-    /// [`run_sweep_screened`]). The default ignores the prior;
+    /// estimate (the fluid screening pre-pass of [`run_sweep_with`],
+    /// see [`SweepOptions::screen`]). The default ignores the prior;
     /// [`BusSimEval`] threads it into its adaptive stopping rule.
     ///
     /// # Errors
@@ -963,6 +960,20 @@ impl SimBudget {
         SimBudget { replications: 2, warmup: 2_000, measure: 20_000, ..SimBudget::paper() }
     }
 
+    /// The `busnet sweep` and `busnet serve` default: 4 replications ×
+    /// 50 000 measured cycles after 5 000 warmup cycles, serial within
+    /// each pair (parallelism comes from the sweep or the serve pool,
+    /// and results are bit-identical either way).
+    pub fn sweep() -> Self {
+        SimBudget {
+            replications: 4,
+            warmup: 5_000,
+            measure: 50_000,
+            mode: ExecutionMode::Serial,
+            ..SimBudget::paper()
+        }
+    }
+
     /// Returns a copy with the given execution mode.
     pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
         self.mode = mode;
@@ -1009,8 +1020,10 @@ impl BusSimEval {
         BusSimEval { budget }
     }
 
-    /// The simulator configuration for `scenario` under this budget.
-    fn builder_for(&self, scenario: &Scenario, seed: u64) -> BusSimBuilder {
+    /// The simulator configuration for `scenario` under this budget,
+    /// seeded with `seed`. `busnet sim` runs its single point through
+    /// the same mapping.
+    pub fn builder_for(&self, scenario: &Scenario, seed: u64) -> BusSimBuilder {
         let mut builder = BusSimBuilder::new(scenario.params)
             .policy(scenario.policy)
             .buffering(scenario.buffering)
@@ -2056,8 +2069,8 @@ pub struct SweepRecord {
     pub result: Result<Evaluation, CoreError>,
 }
 
-/// The opt-in fluid screening pre-pass of [`run_sweep_screened`]
-/// (`busnet sweep --screen fluid`).
+/// The opt-in fluid screening pre-pass of [`run_sweep_with`]
+/// ([`SweepOptions::screen`], `busnet sweep --screen fluid`).
 ///
 /// Every grid point is first solved with the fluid mean-field model
 /// (microseconds, O(1) in `n`). A *screenable* pair (see
@@ -2339,26 +2352,6 @@ pub fn run_sweep(
     run_sweep_with(scenarios, evaluators, &SweepOptions::new(mode), on_record)
 }
 
-/// [`run_sweep`] with an optional fluid screening pre-pass (see
-/// [`ScreenPlan`]): screened pairs skip simulation entirely and carry
-/// the validated fluid prediction; seedable pairs warm-start their
-/// adaptive stopping rule with it. `screen: None` is exactly
-/// [`run_sweep`].
-pub fn run_sweep_screened(
-    scenarios: &[Scenario],
-    evaluators: &[&dyn Evaluator],
-    mode: ExecutionMode,
-    screen: Option<&ScreenPlan>,
-    on_record: impl FnMut(usize, usize, &SweepRecord),
-) -> Vec<SweepRecord> {
-    run_sweep_with(
-        scenarios,
-        evaluators,
-        &SweepOptions { screen, ..SweepOptions::new(mode) },
-        on_record,
-    )
-}
-
 /// Amortization and execution controls of [`run_sweep_with`]. The
 /// [`SweepOptions::new`] defaults reproduce [`run_sweep`]: no
 /// screening, no memo cache, incremental grouping on (grouping is a
@@ -2367,7 +2360,10 @@ pub fn run_sweep_screened(
 pub struct SweepOptions<'a> {
     /// How work units fan out across threads.
     pub mode: ExecutionMode,
-    /// Optional fluid screening pre-pass.
+    /// Optional fluid screening pre-pass ([`ScreenPlan`]): screened
+    /// pairs skip simulation entirely and carry the validated fluid
+    /// prediction; seedable pairs warm-start their adaptive stopping
+    /// rule with it.
     pub screen: Option<&'a ScreenPlan>,
     /// Optional evaluation memo cache ([`crate::cache`]), consulted
     /// for pairs that are neither screened nor prior-seeded (a primed

@@ -49,7 +49,7 @@
 //! evaluates twice.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -59,7 +59,7 @@ use busnet_sim::exec::{ExecPool, ExecutionMode};
 use busnet_sim::sink::LineSink;
 
 use crate::cache::{cache_key, EvalCache};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use crate::scenario::{
     evaluator_calls, run_sweep_with, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
@@ -121,31 +121,11 @@ impl ErrorReply {
 
     /// The reply line for this error.
     pub fn line(&self) -> String {
-        format!("{{\"id\":{},\"status\":\"error\",\"error\":\"{}\"}}", self.id, esc(&self.message))
-    }
-}
-
-/// Minimal JSON string escaping for messages embedded in replies.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn policy_name(policy: BusPolicy) -> &'static str {
-    match policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
+        format!(
+            "{{\"id\":{},\"status\":\"error\",\"error\":\"{}\"}}",
+            self.id,
+            json::escape(&self.message)
+        )
     }
 }
 
@@ -165,7 +145,7 @@ pub fn row_json(e: &Evaluation) -> String {
         s.params.m(),
         s.params.r(),
         s.params.p(),
-        policy_name(s.policy),
+        s.policy.name(),
         s.buffering.name(),
         s.arbitration.name(),
         s.workload.name(),
@@ -232,7 +212,7 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
         }
     };
     let budget = match doc.field("budget") {
-        None => default_budget(),
+        None => SimBudget::sweep(),
         Some(v) => parse_budget(v).map_err(&fail)?,
     };
     let max_retries = match doc.field("max_retries") {
@@ -268,22 +248,6 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
     }))
 }
 
-/// The serve-side default budget (mirrors the `busnet sweep` flag
-/// defaults, with serial per-unit execution: parallelism comes from
-/// the pool, and serial units keep every reply bit-identical to any
-/// other execution shape).
-fn default_budget() -> SimBudget {
-    SimBudget {
-        replications: 4,
-        warmup: 5_000,
-        measure: 50_000,
-        master_seed: 0x1985_0414,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Cycle,
-        stopping: Stopping::Fixed,
-    }
-}
-
 fn parse_scenario(v: &Json) -> Result<Scenario, String> {
     let Json::Obj(fields) = v else { return Err("\"scenario\" must be an object".to_owned()) };
     for (name, _) in fields {
@@ -310,11 +274,12 @@ fn parse_scenario(v: &Json) -> Result<Scenario, String> {
     }
     let mut scenario = Scenario::new(params);
     if let Some(policy) = v.field("policy") {
-        scenario = scenario.with_policy(match policy.str() {
-            Some("proc") => BusPolicy::ProcessorPriority,
-            Some("mem") => BusPolicy::MemoryPriority,
-            _ => return Err("bad scenario policy (expected proc|mem)".to_owned()),
-        });
+        scenario = scenario.with_policy(
+            policy
+                .str()
+                .and_then(BusPolicy::from_name)
+                .ok_or("bad scenario policy (expected proc|mem)")?,
+        );
     }
     if let Some(buffering) = v.field("buffering") {
         let name = buffering.str().ok_or("scenario field \"buffering\" must be a string")?;
@@ -355,7 +320,7 @@ fn parse_budget(v: &Json) -> Result<SimBudget, String> {
             return Err(format!("unknown budget field `{name}`"));
         }
     }
-    let mut budget = default_budget();
+    let mut budget = SimBudget::sweep();
     let int_field = |name: &str| -> Result<Option<u64>, String> {
         match v.field(name) {
             None => Ok(None),
@@ -425,6 +390,82 @@ fn parse_unit_budget(v: &Json) -> Result<UnitBudget, String> {
         return Err("unit_budget must bound events and/or millis".to_owned());
     }
     Ok(budget)
+}
+
+/// Longest request line [`serve_connection`] reads, in bytes. A longer
+/// line is discarded through its newline and earns one `error` reply,
+/// so a client that never sends a newline cannot grow the server's
+/// memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One line from a client connection.
+enum Line {
+    Text(String),
+    TooLong,
+    Eof,
+}
+
+/// Reads one `\n`-terminated line, dropping a trailing `\r` as
+/// [`BufRead::lines`] does. At most `cap` bytes are kept: a longer line
+/// is consumed through its newline and reported as [`Line::TooLong`].
+///
+/// # Errors
+///
+/// Read failures, and [`std::io::ErrorKind::InvalidData`] for a line
+/// that is not UTF-8.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Line> {
+    let mut line = Vec::new();
+    // One byte past the cap tells a full-length line from a longer one.
+    let limit = u64::try_from(cap).unwrap_or(u64::MAX).saturating_add(1);
+    if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > cap {
+        reader.skip_until(b'\n')?;
+        return Ok(Line::TooLong);
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line)
+        .map(Line::Text)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// Serves one client connection: reads request lines from `input`
+/// until EOF and submits each to `broker`. Replies go through the
+/// connection's locked line sink — immediately for errors and stats,
+/// on batch completion for evaluations — so concurrent completions
+/// never interleave mid-line. A bad or oversize line costs one error
+/// reply, never the connection.
+pub fn serve_connection(input: impl Read, output: Box<dyn Write + Send>, broker: &Broker) {
+    let sink: Arc<ReplySink> = Arc::new(LineSink::new(output));
+    let mut reader = BufReader::new(input);
+    loop {
+        let reply = match read_line_capped(&mut reader, MAX_REQUEST_BYTES) {
+            Ok(Line::Eof) | Err(_) => break,
+            Ok(Line::TooLong) => {
+                ErrorReply::anonymous(format!("request line exceeds {MAX_REQUEST_BYTES} bytes"))
+                    .line()
+            }
+            Ok(Line::Text(line)) if line.trim().is_empty() => continue,
+            Ok(Line::Text(line)) => match parse_request(&line) {
+                Ok(Request::Eval(req)) => {
+                    broker.submit(req, &sink);
+                    continue;
+                }
+                Ok(Request::Stats { id }) => broker.stats_line(&id),
+                Err(err) => err.line(),
+            },
+        };
+        let _ = sink.writeln(&reply);
+    }
+    // Dropping our sink reference does not close the stream while the
+    // broker still owes this connection replies: each pending waiter
+    // holds its own Arc, so the write half lives until the last reply
+    // is written.
 }
 
 /// Broker tuning knobs.
@@ -561,7 +602,7 @@ impl Shared {
                 Payload::Error(message) => format!(
                     "{{\"id\":{},\"status\":\"{status}\",\"error\":\"{}\"}}",
                     waiter.id,
-                    esc(message)
+                    json::escape(message)
                 ),
             };
             // A dead client costs its own replies, nobody else's.

@@ -21,8 +21,10 @@
 //! busnet sweep --n 1..64 --evaluator pfqn --cache-dir .busnet-cache
 //! busnet serve --unix /tmp/busnet.sock --cache-dir .busnet-cache --threads 4
 //! busnet request --unix /tmp/busnet.sock < requests.jsonl
-//! busnet bench-sweep [--out BENCH_sweep.json] [--engine cycle|event] [--smoke]
 //! ```
+//!
+//! Performance is measured by the separate benchmark in `perfbench/`
+//! (`bash perfbench/run.sh`), not by this binary.
 
 use std::collections::HashSet;
 use std::process::ExitCode;
@@ -31,20 +33,20 @@ use std::time::Instant;
 use std::io::Write;
 
 use busnet::core::cache::EvalCache;
+use busnet::core::json;
 use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use busnet::core::scenario::{
-    run_sweep, run_sweep_screened, run_sweep_with, Evaluator, EvaluatorKind, OnFailure,
-    PfqnAlgorithm, PfqnEval, ScenarioGrid, ScreenPlan, SimBudget, Stopping, Supervisor,
-    SweepOptions, SweepRecord, UnitStatus, ALL_EVALUATOR_KINDS,
+    run_sweep_with, BusSimEval, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
+    ScenarioGrid, ScreenPlan, SimBudget, Stopping, Supervisor, SweepOptions, SweepRecord,
+    UnitStatus, ALL_EVALUATOR_KINDS,
 };
-use busnet::core::serve::{parse_request, Broker, BrokerConfig, ReplySink, Request};
-use busnet::core::sim::bus::{AdaptiveOutcome, AdaptivePlan, BusSimBuilder, UnitBudget};
+use busnet::core::serve::{serve_connection, Broker, BrokerConfig};
+use busnet::core::sim::bus::{AdaptiveOutcome, AdaptivePlan, UnitBudget};
 use busnet::core::CoreError;
 use busnet::report::experiments::{Effort, ExperimentId, ALL_EXPERIMENTS};
-use busnet::sim::event::{EngineKind, EventQueue, HeapEventQueue};
+use busnet::sim::event::EngineKind;
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::fault::{silence_injected_panics, FaultPlan};
-use busnet::sim::sink::LineSink;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,21 +63,21 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => run_experiments(&args[1..]),
-        Some("sim") => run_sim(&args[1..]),
-        Some("sweep") => run_sweep_cmd(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("request") => run_request(&args[1..]),
-        Some("bench-sweep") => run_bench_sweep(&args[1..]),
+        Some("sim") => report(run_sim(&args[1..])),
+        Some("sweep") => report(run_sweep_cmd(&args[1..])),
+        Some("serve") => report(run_serve(&args[1..])),
+        Some("request") => report(run_request(&args[1..])),
         _ => {
             eprintln!(
                 "usage: busnet <list | run <experiment|all> [--quick] | sim ... | sweep ... | \
-                 bench-sweep [--out FILE] [--engine cycle|event] [--smoke]>\n\
+                 serve ... | request ...>\n\
                  \n\
                  sim   --n N --m M --r R [--p P] [--buffered] [--buffer-depth K|inf]\n      \
                  [--memory-priority] [--seed S] [--cycles C] [--warmup W]\n      \
                  [--arbitration KIND] [--engine cycle|event]\n      \
                  [--hot-spot FRAC[@MODULE]] [--module-weights W1,..,Wm]\n      \
-                 [--think-probs P1,..,Pn] [--ci-width X [--max-reps K]]\n\
+                 [--think-probs P1,..,Pn] [--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]]\n      \
+                 [--ci-width X [--max-reps K]]\n\
                  sweep --n SPEC --m SPEC --r SPEC [--p LIST] [--policy proc|mem|both]\n      \
                  [--buffering unbuffered|buffered|depthK|infinite|both]\n      \
                  [--buffer-depth LIST(K|inf)] [--arbitration LIST|all]\n      \
@@ -197,17 +199,124 @@ impl<'a> Flags<'a> {
         if errors.is_empty() {
             Ok(())
         } else {
-            Err(errors.join("\n"))
+            Err(format!("{}\nrun `busnet` without arguments for usage", errors.join("\n")))
         }
     }
 }
 
-fn run_sim(args: &[String]) -> ExitCode {
+/// The scenario-axis flags `sim` and `sweep` share, kept raw until
+/// [`Flags::finish`] has reported unknown flags.
+struct AxisFlags<'a> {
+    n: &'a str,
+    m: &'a str,
+    r: &'a str,
+    p: &'a str,
+    arbitration: &'a str,
+    engine: &'a str,
+    hot_spot: Option<&'a str>,
+    module_weights: Option<&'a str>,
+    think_probs: Option<&'a str>,
+    burst: Option<&'a str>,
+}
+
+/// The parsed axes: one list per axis (`sim` takes one value each).
+struct Axes {
+    n: Vec<u32>,
+    m: Vec<u32>,
+    r: Vec<u32>,
+    p: Vec<f64>,
+    arbitrations: Vec<ArbitrationKind>,
+    workloads: Vec<Workload>,
+    engine: EngineKind,
+}
+
+impl<'a> AxisFlags<'a> {
+    fn read(flags: &mut Flags<'a>) -> Self {
+        AxisFlags {
+            n: flags.value("--n").unwrap_or("8"),
+            m: flags.value("--m").unwrap_or("16"),
+            r: flags.value("--r").unwrap_or("8"),
+            p: flags.value("--p").unwrap_or("1"),
+            arbitration: flags.value("--arbitration").unwrap_or("random"),
+            engine: flags.value("--engine").unwrap_or("cycle"),
+            hot_spot: flags.value("--hot-spot"),
+            module_weights: flags.value("--module-weights"),
+            think_probs: flags.value("--think-probs"),
+            burst: flags.value("--burst"),
+        }
+    }
+
+    fn resolve(&self) -> Result<Axes, String> {
+        let arbitrations = if self.arbitration == "all" {
+            ArbitrationKind::ALL.to_vec()
+        } else {
+            self.arbitration
+                .split(',')
+                .map(|name| {
+                    ArbitrationKind::from_name(name).ok_or_else(|| {
+                        format!(
+                            "bad --arbitration `{name}` (expected random|round-robin|lru|priority|all)"
+                        )
+                    })
+                })
+                .collect::<Result<_, _>>()?
+        };
+        Ok(Axes {
+            n: parse_u32_spec(self.n)?,
+            m: parse_u32_spec(self.m)?,
+            r: parse_u32_spec(self.r)?,
+            p: parse_f64_list(self.p)?,
+            arbitrations,
+            workloads: parse_workload_flags(
+                self.hot_spot,
+                self.module_weights,
+                self.think_probs,
+                self.burst,
+            )?,
+            engine: EngineKind::from_name(self.engine)
+                .ok_or_else(|| format!("bad --engine `{}` (expected cycle|event)", self.engine))?,
+        })
+    }
+}
+
+impl Axes {
+    /// The one scenario `busnet sim` runs: every axis must hold a
+    /// single value.
+    fn point(self, policy: BusPolicy, buffering: Buffering) -> Result<Scenario, String> {
+        let (&[n], &[m], &[r], &[p], &[arbitration], [workload]) = (
+            self.n.as_slice(),
+            self.m.as_slice(),
+            self.r.as_slice(),
+            self.p.as_slice(),
+            self.arbitrations.as_slice(),
+            self.workloads.as_slice(),
+        ) else {
+            return Err("busnet sim takes a single value per axis (lists are for sweep)".to_owned());
+        };
+        let params = SystemParams::new(n, m, r)
+            .and_then(|q| q.with_request_probability(p))
+            .map_err(|e| format!("invalid parameters: {e}"))?;
+        let scenario = Scenario::new(params)
+            .with_policy(policy)
+            .with_buffering(buffering)
+            .with_arbitration(arbitration)
+            .with_workload(workload.clone());
+        scenario.validate().map_err(|e| format!("invalid workload: {e}"))?;
+        Ok(scenario)
+    }
+}
+
+/// Prints a subcommand's error, if any, and maps it to a failing exit.
+fn report(outcome: Result<ExitCode, String>) -> ExitCode {
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let n: u32 = flags.parse("--n", 8);
-    let m: u32 = flags.parse("--m", 16);
-    let r: u32 = flags.parse("--r", 8);
-    let p: f64 = flags.parse("--p", 1.0);
+    let axes = AxisFlags::read(&mut flags);
     let seed: u64 = flags.parse("--seed", 42);
     let cycles: u64 = flags.parse("--cycles", 200_000);
     // Explicit warmup control; the historical default remains a tenth
@@ -215,114 +324,34 @@ fn run_sim(args: &[String]) -> ExitCode {
     let warmup: u64 = flags.parse("--warmup", cycles / 10);
     let memory_priority = flags.switch("--memory-priority");
     let buffered = flags.switch("--buffered");
-    let depth_spec = flags.value("--buffer-depth").map(str::to_owned);
-    let arbitration_spec = flags.value("--arbitration").unwrap_or("random").to_owned();
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let ci_width_spec = flags.value("--ci-width").map(str::to_owned);
+    let depth_spec = flags.value("--buffer-depth");
+    let ci_width_spec = flags.value("--ci-width");
     let max_reps: u32 = flags.parse("--max-reps", 8);
-    let hot_spot_spec = flags.value("--hot-spot").map(str::to_owned);
-    let weights_spec = flags.value("--module-weights").map(str::to_owned);
-    let probs_spec = flags.value("--think-probs").map(str::to_owned);
-    let burst_spec = flags.value("--burst").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!(
-            "{e}\nusage: busnet sim --n N --m M --r R [--p P] [--buffered] \
-                   [--buffer-depth K|inf] [--memory-priority] [--seed S] [--cycles C] \
-                   [--warmup W] [--arbitration KIND] [--engine cycle|event] \
-                   [--hot-spot FRAC[@MODULE]] [--module-weights W1,..,Wm] \
-                   [--think-probs P1,..,Pn] [--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]] \
-                   [--ci-width X [--max-reps K]]"
-        );
-        return ExitCode::FAILURE;
-    }
-    let workload = match parse_workload_flags(
-        hot_spot_spec.as_deref(),
-        weights_spec.as_deref(),
-        probs_spec.as_deref(),
-        burst_spec.as_deref(),
-    ) {
-        Ok(mut workloads) if workloads.len() == 1 => workloads.remove(0),
-        Ok(_) => {
-            eprintln!("busnet sim takes a single --hot-spot fraction (lists are for sweep)");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ci_width = match ci_width_spec.as_deref().map(parse_ci_width).transpose() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    flags.finish()?;
+    let ci_width = ci_width_spec.map(parse_ci_width).transpose()?;
     if ci_width.is_some() && cycles == 0 {
-        eprintln!("--ci-width needs a positive --cycles budget (got --cycles 0)");
-        return ExitCode::FAILURE;
+        return Err("--ci-width needs a positive --cycles budget (got --cycles 0)".to_owned());
     }
     let buffering = match depth_spec {
-        None => {
-            if buffered {
-                Buffering::Buffered
-            } else {
-                Buffering::Unbuffered
+        None if buffered => Buffering::Buffered,
+        None => Buffering::Unbuffered,
+        Some(spec) => match parse_buffer_depth(spec)? {
+            b if buffered && !b.is_buffered() => {
+                return Err(format!("--buffered conflicts with --buffer-depth {spec}"))
             }
-        }
-        Some(spec) => match parse_buffer_depth(&spec) {
-            Ok(b) => {
-                if buffered && !b.is_buffered() {
-                    eprintln!("--buffered conflicts with --buffer-depth {spec}");
-                    return ExitCode::FAILURE;
-                }
-                b
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+            b => b,
         },
     };
-    let Some(arbitration) = ArbitrationKind::from_name(&arbitration_spec) else {
-        eprintln!(
-            "bad --arbitration `{arbitration_spec}` (expected random|round-robin|lru|priority)"
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        eprintln!("bad --engine `{engine_spec}` (expected cycle|event)");
-        return ExitCode::FAILURE;
-    };
-
-    let params = match SystemParams::new(n, m, r).and_then(|q| q.with_request_probability(p)) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("invalid parameters: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = workload.validate(n, m) {
-        eprintln!("invalid workload: {e}");
-        return ExitCode::FAILURE;
-    }
     let policy =
         if memory_priority { BusPolicy::MemoryPriority } else { BusPolicy::ProcessorPriority };
+    let axes = axes.resolve()?;
+    let engine = axes.engine;
+    let scenario = axes.point(policy, buffering)?;
 
-    let mut builder = BusSimBuilder::new(params)
-        .policy(policy)
-        .buffering(buffering)
-        .arbitration(arbitration)
-        .workload(workload.clone())
-        .engine(engine)
-        .seed(seed)
-        .warmup_cycles(warmup)
-        .measure_cycles(cycles);
-    // Bursty runs record one telemetry window per phase dwell so the
-    // transient trajectory is visible in the output.
-    if let Some(spec) = workload.mmpp_spec() {
-        builder = builder.window_cycles(spec.dwell());
-    }
+    // The sweep evaluator's scenario → simulator mapping, so bursty
+    // runs get the same one-window-per-phase-dwell telemetry.
+    let budget = SimBudget { warmup, measure: cycles, engine, ..SimBudget::paper() };
+    let builder = BusSimEval::new(budget).builder_for(&scenario, seed);
     let mut adaptive = None;
     let report = match ci_width {
         None => builder.run(),
@@ -341,12 +370,17 @@ fn run_sim(args: &[String]) -> ExitCode {
         }
     };
     let metrics = report.metrics();
+    let params = &scenario.params;
     println!(
-        "n={n} m={m} r={r} p={p} {policy:?} buffering={} arbitration={} workload={} engine={} \
+        "n={} m={} r={} p={} {policy:?} buffering={} arbitration={} workload={} engine={} \
          seed={seed} warmup={warmup}",
+        params.n(),
+        params.m(),
+        params.r(),
+        params.p(),
         buffering.name(),
-        arbitration.name(),
-        workload.name(),
+        scenario.arbitration.name(),
+        scenario.workload.name(),
         engine.name()
     );
     println!("  EBW                  {:.4}", metrics.ebw);
@@ -363,7 +397,7 @@ fn run_sim(args: &[String]) -> ExitCode {
         println!("  P(input full)        {:.4}", report.input_full_fraction());
         println!("  blocked completions  {}", report.blocked_completions);
     }
-    if !workload.is_uniform() {
+    if !scenario.workload.is_uniform() {
         if let Some(hot) = report.hot_module() {
             println!("  hot module           {hot}");
             println!(
@@ -391,7 +425,7 @@ fn run_sim(args: &[String]) -> ExitCode {
             if converged { "converged" } else { "budget exhausted" }
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses one `--hot-spot` item: `FRAC` or `FRAC@MODULE`.
@@ -559,218 +593,149 @@ enum SweepFormat {
     Json,
 }
 
-fn policy_name(policy: BusPolicy) -> &'static str {
-    match policy {
-        BusPolicy::ProcessorPriority => "proc",
-        BusPolicy::MemoryPriority => "mem",
-    }
+/// One sweep cell, rendered per format.
+enum Cell {
+    /// A string: bare in CSV, quoted and escaped in JSON.
+    Text(String),
+    /// A number, boolean, or array: bare in both formats.
+    Num(String),
+    /// A measure this evaluator does not report: empty in CSV, `null`
+    /// in JSON.
+    Null,
+    /// No value in this row: empty in CSV, left out of JSON.
+    Absent,
 }
+
+fn num(value: impl ToString) -> Cell {
+    Cell::Num(value.to_string())
+}
+
+fn text(value: impl ToString) -> Cell {
+    Cell::Text(value.to_string())
+}
+
+fn fixed(value: f64) -> Cell {
+    Cell::Num(format!("{value:.6}"))
+}
+
+/// A measure every evaluation carries (absent from failure rows).
+fn measure(eval: Option<&Evaluation>, f: impl Fn(&Evaluation) -> Cell) -> Cell {
+    eval.map_or(Cell::Absent, f)
+}
+
+/// A measure only some vehicles report: fairness and occupancy need a
+/// per-processor / per-module view, windows an MMPP simulation.
+fn optional(eval: Option<&Evaluation>, f: impl Fn(&Evaluation) -> Option<Cell>) -> Cell {
+    eval.map_or(Cell::Absent, |e| f(e).unwrap_or(Cell::Null))
+}
+
+/// How a record fills one column; the evaluation is `None` for a pair
+/// that failed hard.
+type Fill = fn(&SweepRecord, Option<&Evaluation>) -> Cell;
+
+/// The sweep row schema in output order: each column's name, whether
+/// CSV rows carry it (JSON rows carry every column), and how a record
+/// fills it. The CSV header and every CSV, JSON, and failure row render
+/// from this one list.
+const COLUMNS: [(&str, bool, Fill); 31] = [
+    ("n", true, |r, _| num(r.scenario.params.n())),
+    ("m", true, |r, _| num(r.scenario.params.m())),
+    ("r", true, |r, _| num(r.scenario.params.r())),
+    ("p", true, |r, _| num(r.scenario.params.p())),
+    ("policy", true, |r, _| text(r.scenario.policy.name())),
+    ("buffering", true, |r, _| text(r.scenario.buffering.name())),
+    ("buffer_depth", true, |r, _| text(r.scenario.buffering.depth_label())),
+    ("arbitration", true, |r, _| text(r.scenario.arbitration.name())),
+    ("workload", true, |r, _| text(r.scenario.workload.name())),
+    ("evaluator", true, |r, _| text(r.evaluator)),
+    ("ebw", true, |_, e| measure(e, |e| fixed(e.metrics.ebw))),
+    ("half_width_95", true, |_, e| measure(e, |e| fixed(e.half_width_95))),
+    ("bus_utilization", true, |_, e| measure(e, |e| fixed(e.metrics.bus_utilization))),
+    ("memory_utilization", true, |_, e| measure(e, |e| fixed(e.metrics.memory_utilization))),
+    ("processor_efficiency", true, |_, e| measure(e, |e| fixed(e.metrics.processor_efficiency))),
+    ("replications", true, |_, e| measure(e, |e| num(e.replications))),
+    ("fairness", true, |_, e| optional(e, |e| e.fairness_index().map(fixed))),
+    ("mean_input_queue", true, |_, e| {
+        optional(e, |e| e.occupancy.as_ref().map(|o| fixed(o.mean_input_queue)))
+    }),
+    ("input_full_fraction", true, |_, e| {
+        optional(e, |e| e.occupancy.as_ref().map(|o| fixed(o.input_full_fraction)))
+    }),
+    ("blocked_completions", true, |_, e| {
+        optional(e, |e| e.occupancy.as_ref().map(|o| num(o.blocked_completions)))
+    }),
+    ("hot_ref_share", true, |_, e| {
+        optional(e, |e| e.hot_module.as_ref().map(|h| fixed(h.reference_share)))
+    }),
+    ("hot_module_utilization", true, |_, e| {
+        optional(e, |e| e.hot_module.as_ref().map(|h| fixed(h.utilization)))
+    }),
+    ("hot_mean_input_queue", true, |_, e| {
+        optional(e, |e| e.hot_module.as_ref().map(|h| fixed(h.mean_input_queue)))
+    }),
+    ("buses", true, |r, _| num(r.scenario.buses)),
+    ("screened", true, |r, _| num(r.screened)),
+    ("windows", true, |_, e| optional(e, |e| e.windows.as_ref().map(|w| num(w.windows.len())))),
+    // The per-window EBW trajectory of an MMPP run only fits in JSON.
+    ("window_ebw", false, |r, e| {
+        let rc = r.scenario.params.r() + 2;
+        optional(e, |e| {
+            e.windows.as_ref().map(|w| {
+                let points: Vec<String> =
+                    w.windows.iter().map(|x| format!("{:.6}", x.ebw(rc))).collect();
+                Cell::Num(format!("[{}]", points.join(",")))
+            })
+        })
+    }),
+    ("status", true, |r, e| text(if e.is_some() { r.status.name() } else { "failed" })),
+    ("attempts", true, |r, _| num(r.attempts)),
+    ("degraded", true, |r, e| num(e.is_some() && r.status == UnitStatus::Degraded)),
+    ("error", false, |r, _| r.result.as_ref().err().map_or(Cell::Absent, text)),
+];
 
 /// Writes one sweep row into `out` (a buffered writer: rows hit the
 /// kernel in large blocks instead of one `write(2)` per record, which
 /// measurably dominated large-grid sweeps when stdout was a pipe).
-/// Skip/failure diagnostics still go straight to stderr.
+/// Hard failures still stream a structured row (scenario identity, no
+/// metrics, a `failed` status) so downstream accounting sees every grid
+/// point exactly once. Skip/failure diagnostics go straight to stderr.
 fn emit_record(record: &SweepRecord, format: SweepFormat, out: &mut impl Write) {
     let s = &record.scenario;
-    match &record.result {
-        Ok(eval) => {
-            let m = &eval.metrics;
-            // Fairness and occupancy are defined only for vehicles with
-            // a per-processor / per-module view (the simulators).
-            let fairness_csv = eval.fairness_index().map_or(String::new(), |f| format!("{f:.6}"));
-            let fairness_json =
-                eval.fairness_index().map_or("null".to_owned(), |f| format!("{f:.6}"));
-            let occ = eval.occupancy.as_ref().map(|o| {
-                (
-                    format!("{:.6}", o.mean_input_queue),
-                    format!("{:.6}", o.input_full_fraction),
-                    o.blocked_completions.to_string(),
-                )
-            });
-            let missing = |m: &str| (m.to_owned(), m.to_owned(), m.to_owned());
-            let (queue_csv, full_csv, blocked_csv) = occ.clone().unwrap_or_else(|| missing(""));
-            let (queue_json, full_json, blocked_json) = occ.unwrap_or_else(|| missing("null"));
-            // Hot-module workload telemetry (simulators only).
-            let hot = eval.hot_module.as_ref().map(|h| {
-                (
-                    format!("{:.6}", h.reference_share),
-                    format!("{:.6}", h.utilization),
-                    format!("{:.6}", h.mean_input_queue),
-                )
-            });
-            let (hot_share_csv, hot_util_csv, hot_queue_csv) =
-                hot.clone().unwrap_or_else(|| missing(""));
-            let (hot_share_json, hot_util_json, hot_queue_json) =
-                hot.unwrap_or_else(|| missing("null"));
-            // Windowed transient telemetry (MMPP simulator runs): the
-            // CSV carries the window count; JSON additionally carries
-            // the per-window EBW trajectory.
-            let win = eval.windows.as_ref();
-            let windows_csv = win.map_or(String::new(), |w| w.windows.len().to_string());
-            let windows_json = win.map_or("null".to_owned(), |w| w.windows.len().to_string());
-            let rc = s.params.r() + 2;
-            let window_ebw_json = win.map_or("null".to_owned(), |w| {
-                let points: Vec<String> =
-                    w.windows.iter().map(|x| format!("{:.6}", x.ebw(rc))).collect();
-                format!("[{}]", points.join(","))
-            });
-            let degraded = record.status == UnitStatus::Degraded;
-            let written = match format {
-                SweepFormat::Csv => writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    policy_name(s.policy),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    m.ebw,
-                    eval.half_width_95,
-                    m.bus_utilization,
-                    m.memory_utilization,
-                    m.processor_efficiency,
-                    eval.replications,
-                    fairness_csv,
-                    queue_csv,
-                    full_csv,
-                    blocked_csv,
-                    hot_share_csv,
-                    hot_util_csv,
-                    hot_queue_csv,
-                    s.buses,
-                    record.screened,
-                    windows_csv,
-                    record.status.name(),
-                    record.attempts,
-                    degraded,
-                ),
-                SweepFormat::Json => writeln!(
-                    out,
-                    "{{\"n\":{},\"m\":{},\"r\":{},\"p\":{},\"policy\":\"{}\",\
-                     \"buffering\":\"{}\",\"buffer_depth\":\"{}\",\"arbitration\":\"{}\",\
-                     \"workload\":\"{}\",\"evaluator\":\"{}\",\
-                     \"ebw\":{:.6},\"half_width_95\":{:.6},\"bus_utilization\":{:.6},\
-                     \"memory_utilization\":{:.6},\"processor_efficiency\":{:.6},\
-                     \"replications\":{},\"fairness\":{},\"mean_input_queue\":{},\
-                     \"input_full_fraction\":{},\"blocked_completions\":{},\
-                     \"hot_ref_share\":{},\"hot_module_utilization\":{},\
-                     \"hot_mean_input_queue\":{},\"buses\":{},\"screened\":{},\
-                     \"windows\":{},\"window_ebw\":{},\
-                     \"status\":\"{}\",\"attempts\":{},\"degraded\":{}}}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    policy_name(s.policy),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    m.ebw,
-                    eval.half_width_95,
-                    m.bus_utilization,
-                    m.memory_utilization,
-                    m.processor_efficiency,
-                    eval.replications,
-                    fairness_json,
-                    queue_json,
-                    full_json,
-                    blocked_json,
-                    hot_share_json,
-                    hot_util_json,
-                    hot_queue_json,
-                    s.buses,
-                    record.screened,
-                    windows_json,
-                    window_ebw_json,
-                    record.status.name(),
-                    record.attempts,
-                    degraded,
-                ),
-            };
-            written.expect("stdout closed mid-sweep");
-        }
-        Err(CoreError::UnsupportedScenario { .. }) => {
-            eprintln!(
-                "# skipped [{} @ {}]: outside the evaluator's domain",
-                record.evaluator,
-                s.label()
-            );
-        }
-        Err(e) => {
-            // Hard failures still stream a structured row (scenario
-            // identity, empty metrics, a `failed` status) so downstream
-            // accounting sees every grid point exactly once; the human
-            // diagnostic goes to stderr.
-            let written = match format {
-                SweepFormat::Csv => writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{},,,,,,,,,,,,,,{},{},,failed,{},false",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    policy_name(s.policy),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    s.buses,
-                    record.screened,
-                    record.attempts,
-                ),
-                SweepFormat::Json => writeln!(
-                    out,
-                    "{{\"n\":{},\"m\":{},\"r\":{},\"p\":{},\"policy\":\"{}\",\
-                     \"buffering\":\"{}\",\"buffer_depth\":\"{}\",\"arbitration\":\"{}\",\
-                     \"workload\":\"{}\",\"evaluator\":\"{}\",\"buses\":{},\"screened\":{},\
-                     \"status\":\"failed\",\"attempts\":{},\"degraded\":false,\
-                     \"error\":\"{}\"}}",
-                    s.params.n(),
-                    s.params.m(),
-                    s.params.r(),
-                    s.params.p(),
-                    policy_name(s.policy),
-                    s.buffering.name(),
-                    s.buffering.depth_label(),
-                    s.arbitration.name(),
-                    s.workload.name(),
-                    record.evaluator,
-                    s.buses,
-                    record.screened,
-                    record.attempts,
-                    json_escape(&e.to_string()),
-                ),
-            };
-            written.expect("stdout closed mid-sweep");
-            eprintln!("# FAILED [{} @ {}]: {e}", record.evaluator, s.label());
-        }
+    if let Err(CoreError::UnsupportedScenario { .. }) = &record.result {
+        eprintln!(
+            "# skipped [{} @ {}]: outside the evaluator's domain",
+            record.evaluator,
+            s.label()
+        );
+        return;
     }
-}
-
-/// Minimal JSON string escaping for error messages embedded in failure
-/// rows.
-fn json_escape(s: &str) -> String {
-    let mut escaped = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
+    let eval = record.result.as_ref().ok();
+    let mut line = String::with_capacity(512);
+    let mut separator = "";
+    for (name, csv, fill) in &COLUMNS {
+        if format == SweepFormat::Csv && !csv {
+            continue;
         }
+        let cell = match (format, fill(record, eval)) {
+            (SweepFormat::Csv, Cell::Text(v) | Cell::Num(v)) => v,
+            (SweepFormat::Csv, Cell::Null | Cell::Absent) => String::new(),
+            (SweepFormat::Json, Cell::Text(v)) => format!("\"{name}\":\"{}\"", json::escape(&v)),
+            (SweepFormat::Json, Cell::Num(v)) => format!("\"{name}\":{v}"),
+            (SweepFormat::Json, Cell::Null) => format!("\"{name}\":null"),
+            (SweepFormat::Json, Cell::Absent) => continue,
+        };
+        line.push_str(separator);
+        line.push_str(&cell);
+        separator = ",";
     }
-    escaped
+    match format {
+        SweepFormat::Csv => writeln!(out, "{line}"),
+        SweepFormat::Json => writeln!(out, "{{{line}}}"),
+    }
+    .expect("stdout closed mid-sweep");
+    if let Err(e) = &record.result {
+        eprintln!("# FAILED [{} @ {}]: {e}", record.evaluator, s.label());
+    }
 }
 
 /// Classifies a sweep record for the exit summary.
@@ -782,171 +747,82 @@ fn record_outcome(record: &SweepRecord) -> (bool, bool) {
     }
 }
 
-fn run_sweep_cmd(args: &[String]) -> ExitCode {
+fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
+    let defaults = SimBudget::sweep();
     let mut flags = Flags::new(args);
-    let n_spec = flags.value("--n").unwrap_or("8").to_owned();
-    let m_spec = flags.value("--m").unwrap_or("16").to_owned();
-    let r_spec = flags.value("--r").unwrap_or("8").to_owned();
-    let p_spec = flags.value("--p").unwrap_or("1").to_owned();
-    let policy_spec = flags.value("--policy").unwrap_or("proc").to_owned();
-    let buffering_spec = flags.value("--buffering").map(str::to_owned);
-    let depth_spec = flags.value("--buffer-depth").map(str::to_owned);
-    let arbitration_spec = flags.value("--arbitration").unwrap_or("random").to_owned();
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let evaluator_spec = flags.value("--evaluator").unwrap_or("sim").to_owned();
-    let format_spec = flags.value("--format").unwrap_or("csv").to_owned();
-    let replications: u32 = flags.parse("--replications", 4);
-    let cycles: u64 = flags.parse("--cycles", 50_000);
-    let warmup: u64 = flags.parse("--warmup", 5_000);
-    let seed: u64 = flags.parse("--seed", 0x1985_0414);
+    let axes = AxisFlags::read(&mut flags);
+    let policy_spec = flags.value("--policy").unwrap_or("proc");
+    let buffering_spec = flags.value("--buffering");
+    let depth_spec = flags.value("--buffer-depth");
+    let evaluator_spec = flags.value("--evaluator").unwrap_or("sim");
+    let format_spec = flags.value("--format").unwrap_or("csv");
+    let replications: u32 = flags.parse("--replications", defaults.replications);
+    let cycles: u64 = flags.parse("--cycles", defaults.measure);
+    let warmup: u64 = flags.parse("--warmup", defaults.warmup);
+    let seed: u64 = flags.parse("--seed", defaults.master_seed);
     let serial = flags.switch("--serial");
-    let ci_width_spec = flags.value("--ci-width").map(str::to_owned);
+    let ci_width_spec = flags.value("--ci-width");
     let max_reps: u32 = flags.parse("--max-reps", replications.max(1));
-    let hot_spot_spec = flags.value("--hot-spot").map(str::to_owned);
-    let weights_spec = flags.value("--module-weights").map(str::to_owned);
-    let probs_spec = flags.value("--think-probs").map(str::to_owned);
-    let burst_spec = flags.value("--burst").map(str::to_owned);
-    let buses_spec = flags.value("--buses").unwrap_or("1").to_owned();
-    let screen_spec = flags.value("--screen").map(str::to_owned);
+    let buses_spec = flags.value("--buses").unwrap_or("1");
+    let screen_spec = flags.value("--screen");
     let screen_tol: f64 = flags.parse("--screen-tol", 0.05);
-    let cache_dir_spec = flags.value("--cache-dir").map(str::to_owned);
+    let cache_dir_spec = flags.value("--cache-dir");
     let max_retries: u32 = flags.parse("--max-retries", 2);
-    let unit_budget_spec = flags.value("--unit-budget").map(str::to_owned);
-    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip").to_owned();
+    let unit_budget_spec = flags.value("--unit-budget");
+    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip");
     let resume = flags.switch("--resume");
-    let fault_plan_spec = flags.value("--fault-plan").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
+    let fault_plan_spec = flags.value("--fault-plan");
+    flags.finish()?;
 
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
-    let (n, m, r) =
-        match (parse_u32_spec(&n_spec), parse_u32_spec(&m_spec), parse_u32_spec(&r_spec)) {
-            (Ok(n), Ok(m), Ok(r)) => (n, m, r),
-            (n, m, r) => {
-                return fail(
-                    [n.err(), m.err(), r.err()]
-                        .into_iter()
-                        .flatten()
-                        .collect::<Vec<_>>()
-                        .join("\n"),
-                )
-            }
-        };
-    let p = match parse_f64_list(&p_spec) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
-    let policies = match policy_spec.as_str() {
-        "proc" => vec![BusPolicy::ProcessorPriority],
-        "mem" => vec![BusPolicy::MemoryPriority],
+    let Axes { n, m, r, p, arbitrations, workloads, engine } = axes.resolve()?;
+    let policies = match policy_spec {
         "both" => vec![BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority],
-        other => return fail(format!("bad --policy `{other}` (expected proc|mem|both)")),
+        name => vec![BusPolicy::from_name(name)
+            .ok_or_else(|| format!("bad --policy `{name}` (expected proc|mem|both)"))?],
     };
     let bufferings = match (buffering_spec, depth_spec) {
         (Some(_), Some(_)) => {
-            return fail("--buffering and --buffer-depth are mutually exclusive".to_owned())
+            return Err("--buffering and --buffer-depth are mutually exclusive".to_owned())
         }
         (None, None) => vec![Buffering::Unbuffered],
-        (Some(spec), None) => match spec.as_str() {
-            "both" => vec![Buffering::Unbuffered, Buffering::Buffered],
-            other => match Buffering::from_name(other) {
-                Some(b) => vec![b],
-                None => {
-                    return fail(format!(
-                        "bad --buffering `{other}` (expected \
-                         unbuffered|buffered|depthK|infinite|both)"
-                    ))
-                }
-            },
-        },
-        (None, Some(spec)) => {
-            match spec.split(',').map(parse_buffer_depth).collect::<Result<Vec<_>, _>>() {
-                Ok(depths) => depths,
-                Err(e) => return fail(e),
-            }
-        }
+        (Some("both"), None) => vec![Buffering::Unbuffered, Buffering::Buffered],
+        (Some(name), None) => vec![Buffering::from_name(name).ok_or_else(|| {
+            format!("bad --buffering `{name}` (expected unbuffered|buffered|depthK|infinite|both)")
+        })?],
+        (None, Some(spec)) => spec.split(',').map(parse_buffer_depth).collect::<Result<_, _>>()?,
     };
-    let arbitrations: Vec<ArbitrationKind> = if arbitration_spec == "all" {
-        ArbitrationKind::ALL.to_vec()
-    } else {
-        match arbitration_spec
-            .split(',')
-            .map(|name| {
-                ArbitrationKind::from_name(name).ok_or_else(|| {
-                    format!(
-                        "bad --arbitration `{name}` (expected random|round-robin|lru|priority|all)"
-                    )
-                })
-            })
-            .collect()
-        {
-            Ok(kinds) => kinds,
-            Err(e) => return fail(e),
-        }
-    };
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        return fail(format!("bad --engine `{engine_spec}` (expected cycle|event)"));
-    };
-    let format = match format_spec.as_str() {
+    let format = match format_spec {
         "csv" => SweepFormat::Csv,
         "json" => SweepFormat::Json,
-        other => return fail(format!("bad --format `{other}` (expected csv|json)")),
+        other => return Err(format!("bad --format `{other}` (expected csv|json)")),
     };
-    let kinds: Vec<EvaluatorKind> = match evaluator_spec
+    let kinds: Vec<EvaluatorKind> = evaluator_spec
         .split(',')
         .map(|name| {
             EvaluatorKind::from_name(name)
                 .ok_or_else(|| format!("unknown evaluator `{name}`; try `busnet list`"))
         })
-        .collect()
-    {
-        Ok(kinds) => kinds,
-        Err(e) => return fail(e),
-    };
-
-    let workloads = match parse_workload_flags(
-        hot_spot_spec.as_deref(),
-        weights_spec.as_deref(),
-        probs_spec.as_deref(),
-        burst_spec.as_deref(),
-    ) {
-        Ok(w) => w,
-        Err(e) => return fail(e),
-    };
-    let buses = match parse_u32_spec(&buses_spec) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
-    let screen: Option<ScreenPlan> = match screen_spec.as_deref() {
+        .collect::<Result<_, _>>()?;
+    let buses = parse_u32_spec(buses_spec)?;
+    let screen: Option<ScreenPlan> = match screen_spec {
         None => None,
         Some("fluid") => {
             if !(screen_tol.is_finite() && screen_tol > 0.0) {
-                return fail(format!("bad --screen-tol `{screen_tol}` (expected > 0)"));
+                return Err(format!("bad --screen-tol `{screen_tol}` (expected > 0)"));
             }
             Some(ScreenPlan { tolerance: screen_tol, ..ScreenPlan::default() })
         }
-        Some(other) => return fail(format!("bad --screen `{other}` (expected fluid)")),
+        Some(other) => return Err(format!("bad --screen `{other}` (expected fluid)")),
     };
-    let Some(on_failure) = OnFailure::from_name(&on_failure_spec) else {
-        return fail(format!("bad --on-failure `{on_failure_spec}` (expected abort|skip|degrade)"));
-    };
-    let unit_budget = match unit_budget_spec.as_deref().map(parse_unit_budget).transpose() {
-        Ok(b) => b.flatten(),
-        Err(e) => return fail(e),
-    };
+    let on_failure = parse_on_failure(on_failure_spec)?;
+    let unit_budget = unit_budget_spec.map(parse_unit_budget).transpose()?.flatten();
     // Deterministic fault injection: an explicit `--fault-plan` wins,
     // else the `BUSNET_FAULT_PLAN` environment variable arms the same
     // sites (so CI chaos jobs can wrap unmodified invocations).
-    let faults = match fault_plan_spec.as_deref() {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => plan,
-            Err(e) => return fail(format!("bad --fault-plan `{spec}`: {e}")),
-        },
+    let faults = match fault_plan_spec {
+        Some(spec) => {
+            FaultPlan::parse(spec).map_err(|e| format!("bad --fault-plan `{spec}`: {e}"))?
+        }
         None => FaultPlan::from_env(),
     };
     if faults.is_some() {
@@ -955,7 +831,7 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         silence_injected_panics();
     }
     if resume && cache_dir_spec.is_none() {
-        return fail("--resume needs --cache-dir (the journal is the checkpoint)".to_owned());
+        return Err("--resume needs --cache-dir (the journal is the checkpoint)".to_owned());
     }
     // The evaluation memo cache: in-memory dedup is always on inside
     // `run_sweep_with`; `--cache-dir` additionally persists results to
@@ -965,12 +841,12 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     // from the journal and the sweep continues from the first missing
     // unit (a torn trailing line from a killed run is recovered on
     // load).
-    let cache = match &cache_dir_spec {
+    let cache = match cache_dir_spec {
         None => None,
-        Some(dir) => match EvalCache::with_dir_faulted(std::path::Path::new(dir), faults.clone()) {
-            Ok(cache) => Some(cache),
-            Err(e) => return fail(format!("cannot open --cache-dir `{dir}`: {e}")),
-        },
+        Some(dir) => Some(
+            EvalCache::with_dir_faulted(std::path::Path::new(dir), faults.clone())
+                .map_err(|e| format!("cannot open --cache-dir `{dir}`: {e}"))?,
+        ),
     };
     if resume {
         let loaded = cache.as_ref().map_or(0, |c| c.stats().loaded);
@@ -987,15 +863,10 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         .arbitrations(arbitrations)
         .workloads(workloads)
         .buses_values(buses);
-    let scenarios = match grid.scenarios() {
-        Ok(s) => s,
-        Err(e) => return fail(format!("invalid sweep point: {e}")),
-    };
-
-    let stopping = match ci_width_spec.as_deref().map(parse_ci_width).transpose() {
-        Ok(None) => Stopping::Fixed,
-        Ok(Some(ci_width)) => Stopping::Adaptive { ci_width, max_reps },
-        Err(e) => return fail(e),
+    let scenarios = grid.scenarios().map_err(|e| format!("invalid sweep point: {e}"))?;
+    let stopping = match ci_width_spec.map(parse_ci_width).transpose()? {
+        None => Stopping::Fixed,
+        Some(ci_width) => Stopping::Adaptive { ci_width, max_reps },
     };
 
     // The sweep scheduler fans out (scenario × evaluator × replication)
@@ -1007,9 +878,9 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         warmup,
         measure: cycles,
         master_seed: seed,
-        mode: ExecutionMode::Serial,
         engine,
         stopping,
+        ..defaults
     };
     let evaluators: Vec<Box<dyn Evaluator>> = kinds.iter().map(|k| k.build(budget)).collect();
     let refs: Vec<&dyn Evaluator> = evaluators.iter().map(AsRef::as_ref).collect();
@@ -1020,15 +891,8 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::with_capacity(64 * 1024, stdout.lock());
     if format == SweepFormat::Csv {
-        writeln!(
-            out,
-            "n,m,r,p,policy,buffering,buffer_depth,arbitration,workload,evaluator,ebw,\
-             half_width_95,bus_utilization,memory_utilization,processor_efficiency,replications,\
-             fairness,mean_input_queue,input_full_fraction,blocked_completions,hot_ref_share,\
-             hot_module_utilization,hot_mean_input_queue,buses,screened,windows,status,attempts,\
-             degraded"
-        )
-        .expect("stdout closed");
+        let header: Vec<&str> = COLUMNS.iter().filter(|c| c.1).map(|c| c.0).collect();
+        writeln!(out, "{}", header.join(",")).expect("stdout closed");
     }
     // Live progress only when stderr is a terminal; piped stderr gets
     // just the skip reports and the final summary. Throttled to every
@@ -1094,14 +958,18 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
         }
     }
     if failed > 0 {
-        eprintln!("# {failed} evaluation(s) failed hard");
-        return ExitCode::FAILURE;
+        return Err(format!("# {failed} evaluation(s) failed hard"));
     }
     if evaluated == 0 {
-        eprintln!("# no scenario/evaluator pair was in domain; nothing evaluated");
-        return ExitCode::FAILURE;
+        return Err("# no scenario/evaluator pair was in domain; nothing evaluated".to_owned());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Parses an `--on-failure` value.
+fn parse_on_failure(spec: &str) -> Result<OnFailure, String> {
+    OnFailure::from_name(spec)
+        .ok_or_else(|| format!("bad --on-failure `{spec}` (expected abort|skip|degrade)"))
 }
 
 /// The process-wide shutdown latch: flipped by SIGTERM/SIGINT, polled
@@ -1127,34 +995,33 @@ fn install_shutdown_handler() {
     }
 }
 
-/// One serve-mode client connection: read request lines until EOF,
-/// submitting each to the shared broker. Replies go through the
-/// connection's locked line sink — immediately for errors/stats, on
-/// batch completion for evaluations — so concurrent completions never
-/// interleave mid-line.
-fn serve_connection(input: impl std::io::Read, output: Box<dyn Write + Send>, broker: &Broker) {
-    use std::io::BufRead;
-    let sink: std::sync::Arc<ReplySink> = std::sync::Arc::new(LineSink::new(output));
-    for line in std::io::BufReader::new(input).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line) {
-            Ok(Request::Eval(req)) => broker.submit(req, &sink),
-            Ok(Request::Stats { id }) => {
-                let _ = sink.writeln(&broker.stats_line(&id));
+/// Accepts connections until the shutdown latch flips, serving each on
+/// its own reader thread. `accept` is nonblocking and yields a stream's
+/// read and write halves, so the loop polls the latch between accepts.
+fn accept_until_shutdown<S>(
+    mut accept: impl FnMut() -> std::io::Result<(S, S)>,
+    broker: &std::sync::Arc<Broker>,
+) where
+    S: std::io::Read + Write + Send + 'static,
+{
+    let poll = std::time::Duration::from_millis(25);
+    while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
+        match accept() {
+            Ok((reader, writer)) => {
+                let broker = std::sync::Arc::clone(broker);
+                std::thread::spawn(move || {
+                    serve_connection(reader, Box::new(writer), &broker);
+                });
             }
-            // A bad line costs one error reply, never the connection.
-            Err(err) => {
-                let _ = sink.writeln(&err.line());
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(poll);
+            }
+            Err(e) => {
+                eprintln!("# accept failed: {e}");
+                std::thread::sleep(poll);
             }
         }
     }
-    // Dropping our sink reference does not close the stream while the
-    // broker still owes this connection replies: each pending waiter
-    // holds its own Arc, so the write half lives until the last reply
-    // is written.
 }
 
 /// Where a serve session listens (or a request client connects).
@@ -1179,113 +1046,67 @@ fn parse_endpoint(unix: Option<&str>, tcp: Option<&str>) -> Result<Endpoint, Str
 /// batching on a bounded pool, supervised execution), and drains
 /// gracefully on SIGTERM: in-flight batches finish and every owed
 /// reply is written before exit.
-fn run_serve(args: &[String]) -> ExitCode {
+fn run_serve(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let unix_spec = flags.value("--unix").map(str::to_owned);
-    let tcp_spec = flags.value("--tcp").map(str::to_owned);
-    let cache_dir_spec = flags.value("--cache-dir").map(str::to_owned);
+    let unix_spec = flags.value("--unix");
+    let tcp_spec = flags.value("--tcp");
+    let cache_dir_spec = flags.value("--cache-dir");
     let threads: usize = flags.parse("--threads", 2);
     let queue_depth: usize = flags.parse("--queue-depth", 256);
     let max_retries: u32 = flags.parse("--max-retries", 2);
-    let unit_budget_spec = flags.value("--unit-budget").map(str::to_owned);
-    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip").to_owned();
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
-    let endpoint = match parse_endpoint(unix_spec.as_deref(), tcp_spec.as_deref()) {
-        Ok(e) => e,
-        Err(e) => return fail(e),
-    };
-    let Some(on_failure) = OnFailure::from_name(&on_failure_spec) else {
-        return fail(format!("bad --on-failure `{on_failure_spec}` (expected abort|skip|degrade)"));
-    };
-    let unit_budget = match unit_budget_spec.as_deref().map(parse_unit_budget).transpose() {
-        Ok(b) => b.flatten(),
-        Err(e) => return fail(e),
-    };
-    let cache = match &cache_dir_spec {
-        Some(dir) => match EvalCache::with_dir(std::path::Path::new(dir)) {
-            Ok(cache) => std::sync::Arc::new(cache),
-            Err(e) => return fail(format!("cannot open cache dir `{dir}`: {e}")),
-        },
-        None => std::sync::Arc::new(EvalCache::new()),
+    let unit_budget_spec = flags.value("--unit-budget");
+    let on_failure_spec = flags.value("--on-failure").unwrap_or("skip");
+    flags.finish()?;
+    let endpoint = parse_endpoint(unix_spec, tcp_spec)?;
+    let on_failure = parse_on_failure(on_failure_spec)?;
+    let unit_budget = unit_budget_spec.map(parse_unit_budget).transpose()?.flatten();
+    let cache = match cache_dir_spec {
+        Some(dir) => EvalCache::with_dir(std::path::Path::new(dir))
+            .map_err(|e| format!("cannot open cache dir `{dir}`: {e}"))?,
+        None => EvalCache::new(),
     };
     let supervisor = Supervisor { max_retries, on_failure, unit_budget, ..Supervisor::default() };
     let broker = std::sync::Arc::new(Broker::new(
-        std::sync::Arc::clone(&cache),
+        std::sync::Arc::new(cache),
         BrokerConfig { threads, queue_depth, supervisor, mode: ExecutionMode::Serial },
     ));
     install_shutdown_handler();
 
-    // Accept loops are nonblocking so the SIGTERM latch is polled
-    // between accepts; each connection gets its own reader thread.
-    let poll = std::time::Duration::from_millis(25);
     match endpoint {
         Endpoint::Unix(path) => {
             let _ = std::fs::remove_file(&path);
-            let listener = match std::os::unix::net::UnixListener::bind(&path) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("cannot bind unix socket `{path}`: {e}")),
-            };
-            if listener.set_nonblocking(true).is_err() {
-                return fail("cannot set the listener nonblocking".to_owned());
-            }
+            let listener = std::os::unix::net::UnixListener::bind(&path)
+                .map_err(|e| format!("cannot bind unix socket `{path}`: {e}"))?;
+            listener
+                .set_nonblocking(true)
+                .map_err(|e| format!("cannot set the listener nonblocking: {e}"))?;
             println!("# serving on unix:{path}");
             let _ = std::io::stdout().flush();
-            while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let broker = std::sync::Arc::clone(&broker);
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        std::thread::spawn(move || {
-                            serve_connection(stream, Box::new(writer), &broker);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        eprintln!("# accept failed: {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            }
+            accept_until_shutdown(
+                || {
+                    let (stream, _) = listener.accept()?;
+                    Ok((stream.try_clone()?, stream))
+                },
+                &broker,
+            );
             drop(listener);
             let _ = std::fs::remove_file(&path);
         }
         Endpoint::Tcp(addr) => {
-            let listener = match std::net::TcpListener::bind(&addr) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("cannot bind tcp address `{addr}`: {e}")),
-            };
-            if listener.set_nonblocking(true).is_err() {
-                return fail("cannot set the listener nonblocking".to_owned());
-            }
+            let listener = std::net::TcpListener::bind(&addr)
+                .map_err(|e| format!("cannot bind tcp address `{addr}`: {e}"))?;
+            listener
+                .set_nonblocking(true)
+                .map_err(|e| format!("cannot set the listener nonblocking: {e}"))?;
             println!("# serving on tcp:{addr}");
             let _ = std::io::stdout().flush();
-            while !SHUTDOWN.load(std::sync::atomic::Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let broker = std::sync::Arc::clone(&broker);
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        std::thread::spawn(move || {
-                            serve_connection(stream, Box::new(writer), &broker);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(poll);
-                    }
-                    Err(e) => {
-                        eprintln!("# accept failed: {e}");
-                        std::thread::sleep(poll);
-                    }
-                }
-            }
+            accept_until_shutdown(
+                || {
+                    let (stream, _) = listener.accept()?;
+                    Ok((stream.try_clone()?, stream))
+                },
+                &broker,
+            );
         }
     }
     // Graceful drain: flush pending points through their batches and
@@ -1298,34 +1119,25 @@ fn run_serve(args: &[String]) -> ExitCode {
         "# served {} request(s): {} evaluated, {} coalesced, {} cache replies, {} shed",
         c.requests, c.evaluated, c.coalesced, c.cache_replies, c.overloaded
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `busnet request`: a line-oriented client for `busnet serve`. Sends
 /// every nonempty stdin line as a request, half-closes the write side,
 /// and copies reply lines to stdout until the server has answered them
 /// all (the connection closes once the last owed reply is written).
-fn run_request(args: &[String]) -> ExitCode {
+fn run_request(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let unix_spec = flags.value("--unix").map(str::to_owned);
-    let tcp_spec = flags.value("--tcp").map(str::to_owned);
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nrun `busnet` without arguments for usage");
-        return ExitCode::FAILURE;
-    }
-    let fail = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
-    let endpoint = match parse_endpoint(unix_spec.as_deref(), tcp_spec.as_deref()) {
-        Ok(e) => e,
-        Err(e) => return fail(e),
-    };
-    fn roundtrip(
-        mut write_half: impl Write,
-        read_half: impl std::io::Read,
-        half_close: impl FnOnce(),
-    ) -> std::io::Result<()> {
+    let unix_spec = flags.value("--unix");
+    let tcp_spec = flags.value("--tcp");
+    flags.finish()?;
+    let endpoint = parse_endpoint(unix_spec, tcp_spec)?;
+    /// Sends stdin over `stream`, half-closes it, and copies replies.
+    fn roundtrip<S>(stream: &S, half_close: impl FnOnce()) -> std::io::Result<()>
+    where
+        for<'s> &'s S: Write + std::io::Read,
+    {
+        let mut write_half = stream;
         use std::io::BufRead;
         let stdin = std::io::stdin();
         let mut batch = String::new();
@@ -1342,896 +1154,26 @@ fn run_request(args: &[String]) -> ExitCode {
         half_close();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
-        for reply in std::io::BufReader::new(read_half).lines() {
+        for reply in std::io::BufReader::new(stream).lines() {
             let reply = reply?;
             out.write_all(reply.as_bytes())?;
             out.write_all(b"\n")?;
         }
         out.flush()
     }
+    let write = std::net::Shutdown::Write;
     let result = match endpoint {
-        Endpoint::Unix(path) => match std::os::unix::net::UnixStream::connect(&path) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(writer) => {
-                    let closer = stream.try_clone();
-                    roundtrip(writer, stream, move || {
-                        if let Ok(s) = closer {
-                            let _ = s.shutdown(std::net::Shutdown::Write);
-                        }
-                    })
-                }
-                Err(e) => Err(e),
-            },
-            Err(e) => return fail(format!("cannot connect to unix socket `{path}`: {e}")),
-        },
-        Endpoint::Tcp(addr) => match std::net::TcpStream::connect(&addr) {
-            Ok(stream) => match stream.try_clone() {
-                Ok(writer) => {
-                    let closer = stream.try_clone();
-                    roundtrip(writer, stream, move || {
-                        if let Ok(s) = closer {
-                            let _ = s.shutdown(std::net::Shutdown::Write);
-                        }
-                    })
-                }
-                Err(e) => Err(e),
-            },
-            Err(e) => return fail(format!("cannot connect to `{addr}`: {e}")),
-        },
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(format!("request round trip failed: {e}")),
-    }
-}
-
-/// A fast sanity pass for CI: a handful of Table 3/4-style points on
-/// the event engine, gated by a pinned **event budget** per scenario —
-/// a portable proxy for wall-clock regressions. The event engine
-/// executes O(activity) events (≈ 4 per round trip plus think timers
-/// and blocked-service rechecks); a regression that reintroduces
-/// per-idle-cycle work blows the budget by ~`(r + 2)/p`×.
-fn run_bench_smoke() -> ExitCode {
-    let grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8, 24])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered]);
-    let scenarios = grid.scenarios().expect("static grid is valid");
-    let mut failures = 0u32;
-    for scenario in &scenarios {
-        let report = BusSimBuilder::new(scenario.params)
-            .buffering(scenario.buffering)
-            .engine(EngineKind::Event)
-            .seed(0x5EED)
-            .warmup_cycles(1_000)
-            .measure_cycles(10_000)
-            .run();
-        // Returns are measured-window only; scale to the whole run and
-        // allow 8 events per return (4 needed + headroom for blocked
-        // rechecks), plus per-entity slack for dropped think timers.
-        let total = 1_000 + 10_000u64;
-        let scaled_returns = report.returns * total / report.measured_cycles;
-        let budget = 8 * scaled_returns + 4 * u64::from(scenario.params.n()) + 64;
-        let ok = report.events <= budget;
-        println!(
-            "# smoke {}: events {} budget {budget} returns {} -> {}",
-            scenario.label(),
-            report.events,
-            report.returns,
-            if ok { "ok" } else { "OVER BUDGET" },
-        );
-        if !ok {
-            failures += 1;
+        Endpoint::Unix(path) => {
+            let stream = std::os::unix::net::UnixStream::connect(&path)
+                .map_err(|e| format!("cannot connect to unix socket `{path}`: {e}"))?;
+            roundtrip(&stream, || drop(stream.shutdown(write)))
         }
-    }
-    if failures > 0 {
-        eprintln!("# smoke: {failures} scenario(s) exceeded the pinned event budget");
-        return ExitCode::FAILURE;
-    }
-    println!("# smoke: all {} scenarios within the event budget", scenarios.len());
-
-    // Screening slice: the fluid pre-pass must keep saving simulated
-    // events on the Table 3-4 grid (with its p axis) at equal CI width.
-    let screen_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let screen_budget = SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 10_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    }
-    .with_ci_width(0.05, 8);
-    let screen_sim = busnet::core::scenario::BusSimEval::new(screen_budget);
-    let screen_evaluators: [&dyn Evaluator; 1] = [&screen_sim];
-    let plain = run_sweep(&screen_grid, &screen_evaluators, ExecutionMode::Serial, |_, _, _| {});
-    let screened = run_sweep_screened(
-        &screen_grid,
-        &screen_evaluators,
-        ExecutionMode::Serial,
-        Some(&ScreenPlan::default()),
-        |_, _, _| {},
-    );
-    let events = |records: &[SweepRecord]| -> u64 {
-        records.iter().filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events())).sum()
-    };
-    let plain_events = events(&plain);
-    let screened_events = events(&screened);
-    let screened_points = screened.iter().filter(|r| r.screened).count();
-    let savings = 1.0 - screened_events as f64 / plain_events as f64;
-    println!(
-        "# smoke screening: {screened_points}/{} points screened, {plain_events} -> \
-         {screened_events} events ({:.1}% fewer)",
-        screen_grid.len(),
-        savings * 100.0
-    );
-    if screened_points == 0 || savings < 0.25 {
-        eprintln!(
-            "# smoke: fluid screening saved only {:.1}% (< 25%) of simulated events",
-            savings * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Amortization slice: the population-axis sweep must do O(R)
-    // recursion steps (one warm-started solver pass), not the scratch
-    // triangle R(R+1)/2. Serial mode keeps every solver call on this
-    // thread, where the thread-local iteration counter meters exactly.
-    let r = 64u32;
-    let amort_grid = ScenarioGrid::new()
-        .n_values((1..=r).collect::<Vec<_>>())
-        .m_values([8])
-        .r_values([8])
-        .bufferings([Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let mva = PfqnEval { algorithm: PfqnAlgorithm::Mva };
-    let amort_evaluators: [&dyn Evaluator; 1] = [&mva];
-    let meter = |options: &SweepOptions| -> u64 {
-        let before = busnet::queueing::solver_iterations();
-        run_sweep_with(&amort_grid, &amort_evaluators, options, |_, _, _| {});
-        busnet::queueing::solver_iterations() - before
-    };
-    let incremental = meter(&SweepOptions::new(ExecutionMode::Serial));
-    let scratch = meter(&SweepOptions {
-        group_incremental: false,
-        ..SweepOptions::new(ExecutionMode::Serial)
-    });
-    let triangle = u64::from(r) * u64::from(r + 1) / 2;
-    println!(
-        "# smoke amortization: R={r} population sweep, incremental {incremental} solver \
-         iterations vs scratch {scratch} (triangle {triangle})"
-    );
-    if incremental != u64::from(r) || scratch != triangle {
-        eprintln!(
-            "# smoke: incremental sweep did {incremental} solver iterations (want {r}), \
-             scratch did {scratch} (want {triangle})"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Cache slice: a warm re-run of a simulated sweep must replay every
-    // record from the memo cache — zero evaluator calls, zero events.
-    let cache_grid = ScenarioGrid::new()
-        .n_values([4, 8])
-        .m_values([8])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let cache_sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 10_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    });
-    let cache_evaluators: [&dyn Evaluator; 1] = [&cache_sim];
-    let cache = EvalCache::new();
-    let cached_options =
-        SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Serial) };
-    let cold = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-    let misses_after_cold = cache.stats().misses;
-    let warm = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-    let cold_events = events(&cold);
-    let replayed = warm.iter().filter(|r| r.cached).count();
-    println!(
-        "# smoke cache: cold run simulated {cold_events} events across {} pairs; warm re-run \
-         replayed {replayed} record(s) with {} evaluator call(s)",
-        cold.len(),
-        cache.stats().misses - misses_after_cold
-    );
-    if replayed != warm.len() || cache.stats().misses != misses_after_cold {
-        eprintln!("# smoke: warm cached re-run was not a full replay");
-        return ExitCode::FAILURE;
-    }
-
-    // MMPP slice: phase boundaries add O(cycles / dwell) work, not
-    // per-cycle work, so bursty event throughput (events/second) must
-    // stay within 15% of the stationary baseline on the same grid.
-    let mmpp_slice = |workloads: Vec<Workload>| -> (f64, u64) {
-        let slice = ScenarioGrid::new()
-            .n_values([8])
-            .m_values([8, 16])
-            .r_values([8])
-            .p_values([1.0])
-            .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-            .workloads(workloads)
-            .scenarios()
-            .expect("static grid is valid");
-        let sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-            replications: 2,
-            warmup: 1_000,
-            measure: 50_000,
-            master_seed: 0x5EED,
-            mode: ExecutionMode::Serial,
-            engine: EngineKind::Event,
-            stopping: Stopping::Fixed,
-        });
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), events(&records))
-    };
-    let (stationary_secs, stationary_events) = mmpp_slice(vec![Workload::Uniform]);
-    let (bursty_secs, bursty_events) =
-        mmpp_slice(vec![Workload::on_off_burst(1.0, 0.1, 0.9, 500, None).expect("valid burst")]);
-    let stationary_eps = stationary_events as f64 / stationary_secs;
-    let bursty_eps = bursty_events as f64 / bursty_secs;
-    let mmpp_ratio = bursty_eps / stationary_eps;
-    println!(
-        "# smoke mmpp: stationary {stationary_events} events ({:.1}M ev/s), bursty \
-         {bursty_events} events ({:.1}M ev/s) -> {mmpp_ratio:.2}x",
-        stationary_eps / 1e6,
-        bursty_eps / 1e6
-    );
-    if mmpp_ratio < 0.85 {
-        eprintln!(
-            "# smoke: bursty event throughput {mmpp_ratio:.2}x of stationary (< 0.85x floor)"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Supervision slice: the per-unit catch_unwind + retry/budget
-    // plumbing must be bit-invisible in the results and cost <= 5%
-    // event throughput on the Table 3-4 smoke grid. Best-of-3 timings
-    // absorb scheduler noise.
-    let sup_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let sup_sim = busnet::core::scenario::BusSimEval::new(SimBudget {
-        replications: 2,
-        warmup: 1_000,
-        measure: 50_000,
-        master_seed: 0x5EED,
-        mode: ExecutionMode::Serial,
-        engine: EngineKind::Event,
-        stopping: Stopping::Fixed,
-    });
-    let sup_evaluators: [&dyn Evaluator; 1] = [&sup_sim];
-    let supervisor = Supervisor::default();
-    let time_supervised = |supervise: bool| -> (f64, Vec<SweepRecord>) {
-        let options = SweepOptions {
-            supervise: supervise.then_some(&supervisor),
-            ..SweepOptions::new(ExecutionMode::Serial)
-        };
-        let mut best = f64::INFINITY;
-        let mut records = Vec::new();
-        for _ in 0..3 {
-            let start = Instant::now();
-            records = run_sweep_with(&sup_grid, &sup_evaluators, &options, |_, _, _| {});
-            best = best.min(start.elapsed().as_secs_f64());
+        Endpoint::Tcp(addr) => {
+            let stream = std::net::TcpStream::connect(&addr)
+                .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
+            roundtrip(&stream, || drop(stream.shutdown(write)))
         }
-        (best, records)
     };
-    let (bare_secs, bare_records) = time_supervised(false);
-    let (sup_secs, sup_records) = time_supervised(true);
-    let sup_identical = bare_records
-        .iter()
-        .zip(&sup_records)
-        .all(|(a, b)| matches!((&a.result, &b.result), (Ok(x), Ok(y)) if x == y));
-    let sup_overhead = sup_secs / bare_secs - 1.0;
-    println!(
-        "# smoke supervised_vs_bare: bare {bare_secs:.3}s, supervised {sup_secs:.3}s -> \
-         {:.1}% overhead, bit-identical: {sup_identical}",
-        sup_overhead * 100.0
-    );
-    if !sup_identical {
-        eprintln!("# smoke: supervised sweep was not bit-identical to the bare sweep");
-        return ExitCode::FAILURE;
-    }
-    if sup_overhead > 0.05 {
-        eprintln!(
-            "# smoke: supervision overhead {:.1}% exceeds the 5% throughput budget",
-            sup_overhead * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Times `ops` schedule/pop churn cycles on an event queue, returning
-/// seconds. Each op pops one event and schedules a replacement at a
-/// pseudo-random delta within `horizon`.
-fn time_queue_churn<Q>(
-    queue: &mut Q,
-    ops: u64,
-    horizon: u64,
-    schedule: fn(&mut Q, u64),
-    pop: fn(&mut Q) -> u64,
-) -> f64 {
-    let mut state = 0x9E37_79B9u64;
-    let mut now = 0u64;
-    // Seed a small pending population.
-    for _ in 0..32 {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        schedule(queue, now + (state >> 33) % horizon);
-    }
-    let start = Instant::now();
-    for _ in 0..ops {
-        now = pop(queue);
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        schedule(queue, now + (state >> 33) % horizon);
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Fixed 32-point sweep timed serial vs parallel (on the engine chosen
-/// with `--engine`), plus an event-vs-cycle engine comparison on a
-/// large-`r`, low-`p` slice — the regime the event kernel exists for —
-/// a timing-wheel vs binary-heap queue microbench, and an adaptive
-/// (`--ci-width`) vs fixed-replication event-cost comparison at the
-/// Table 3–4 points. Writes the JSON baseline consumed by
-/// BENCH_sweep.json. `--smoke` instead runs the fast CI sanity pass
-/// with a pinned per-scenario event budget.
-fn run_bench_sweep(args: &[String]) -> ExitCode {
-    let mut flags = Flags::new(args);
-    let out: String = flags.parse("--out", "BENCH_sweep.json".to_owned());
-    let engine_spec = flags.value("--engine").unwrap_or("cycle").to_owned();
-    let smoke = flags.switch("--smoke");
-    if let Err(e) = flags.finish() {
-        eprintln!("{e}\nusage: busnet bench-sweep [--out FILE] [--engine cycle|event] [--smoke]");
-        return ExitCode::FAILURE;
-    }
-    if smoke {
-        return run_bench_smoke();
-    }
-    let Some(engine) = EngineKind::from_name(&engine_spec) else {
-        eprintln!("bad --engine `{engine_spec}` (expected cycle|event)");
-        return ExitCode::FAILURE;
-    };
-
-    // 32 points: m x r x buffering at n = 8 — the Table 3/4 style grid.
-    let grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([4, 8, 12, 16])
-        .r_values([2, 6, 10, 14])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered]);
-    let scenarios = grid.scenarios().expect("static grid is valid");
-    assert_eq!(scenarios.len(), 32);
-    let budget = SimBudget {
-        replications: 4,
-        warmup: 5_000,
-        measure: 50_000,
-        master_seed: 0x1985_0414,
-        mode: ExecutionMode::Serial,
-        engine,
-        stopping: Stopping::Fixed,
-    };
-    let sim = busnet::core::scenario::BusSimEval::new(budget);
-    let evaluators: [&dyn Evaluator; 1] = [&sim];
-
-    let time = |mode: ExecutionMode| {
-        let start = Instant::now();
-        let records = run_sweep(&scenarios, &evaluators, mode, |_, _, _| {});
-        let secs = start.elapsed().as_secs_f64();
-        (secs, records)
-    };
-    eprintln!("# timing 32-point sweep ({} engine), serial...", engine.name());
-    let (serial_secs, serial_records) = time(ExecutionMode::Serial);
-    eprintln!("# serial: {serial_secs:.2}s; parallel...");
-    let (parallel_secs, parallel_records) = time(ExecutionMode::Parallel);
-    let identical =
-        serial_records.iter().zip(&parallel_records).all(|(a, b)| match (&a.result, &b.result) {
-            (Ok(x), Ok(y)) => x == y,
-            _ => false,
-        });
-    let threads = ExecutionMode::Parallel.threads();
-    let speedup = serial_secs / parallel_secs;
-    eprintln!(
-        "# parallel: {parallel_secs:.2}s on {threads} threads -> {speedup:.2}x, bit-identical: {identical}"
-    );
-
-    // Event-vs-cycle slice: large r, low p, where idle cycles dominate
-    // and the event kernel's time-to-next-event pays off.
-    let slice = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([4, 8, 16])
-        .r_values([16, 24, 32])
-        .p_values([0.1, 0.2])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    eprintln!("# timing {}-point large-r/low-p slice, cycle vs event engine...", slice.len());
-    let time_engine = |engine: EngineKind| {
-        let sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(engine));
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), records)
-    };
-    let (cycle_secs, cycle_records) = time_engine(EngineKind::Cycle);
-    let (event_secs, event_records) = time_engine(EngineKind::Event);
-    let engine_speedup = cycle_secs / event_secs;
-    // The engines use independent RNG streams: their estimates agree
-    // statistically, not bitwise. Record the worst relative gap.
-    let max_rel_gap = cycle_records
-        .iter()
-        .zip(&event_records)
-        .filter_map(|(a, b)| match (&a.result, &b.result) {
-            (Ok(x), Ok(y)) => Some(((x.ebw() - y.ebw()) / x.ebw()).abs()),
-            _ => None,
-        })
-        .fold(0.0f64, f64::max);
-    eprintln!(
-        "# cycle: {cycle_secs:.2}s, event: {event_secs:.2}s -> {engine_speedup:.2}x, \
-         max relative EBW gap {max_rel_gap:.4}"
-    );
-
-    // Hot-spot vs uniform workload cost on the event engine: the
-    // alias-table module draw is O(1) regardless of skew, so the
-    // non-uniform path must stay within ~10% of uniform *event
-    // throughput* (events/second — the two runs execute different
-    // event counts, since a hot spot throttles completions).
-    eprintln!("# timing hot-spot vs uniform workload slice (event engine)...");
-    let workload_slice = |workloads: Vec<busnet::core::params::Workload>| {
-        let slice = ScenarioGrid::new()
-            .n_values([8])
-            .m_values([8, 16])
-            .r_values([8, 16])
-            .p_values([0.2, 1.0])
-            .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-            .workloads(workloads)
-            .scenarios()
-            .expect("static grid is valid");
-        let sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(EngineKind::Event));
-        let evaluators: [&dyn Evaluator; 1] = [&sim];
-        let start = Instant::now();
-        let records = run_sweep(&slice, &evaluators, ExecutionMode::Serial, |_, _, _| {});
-        let secs = start.elapsed().as_secs_f64();
-        let events: u64 = records
-            .iter()
-            .filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events()))
-            .sum();
-        (secs, events)
-    };
-    let (uniform_secs, uniform_events) =
-        workload_slice(vec![busnet::core::params::Workload::Uniform]);
-    let (hotspot_secs, hotspot_events) = workload_slice(vec![
-        busnet::core::params::Workload::hot_spot(0.2, 0).expect("valid fraction"),
-    ]);
-    let uniform_eps = uniform_events as f64 / uniform_secs;
-    let hotspot_eps = hotspot_events as f64 / hotspot_secs;
-    let workload_ratio = hotspot_eps / uniform_eps;
-    eprintln!(
-        "# uniform: {uniform_events} events in {uniform_secs:.2}s ({:.1}M ev/s); \
-         hot-spot 0.2: {hotspot_events} events in {hotspot_secs:.2}s ({:.1}M ev/s) -> {workload_ratio:.2}x",
-        uniform_eps / 1e6,
-        hotspot_eps / 1e6
-    );
-
-    // Bursty (MMPP) vs uniform on the same slice: phase boundaries and
-    // window telemetry must amortize to O(cycles / dwell), keeping
-    // event throughput within 15% of stationary.
-    eprintln!("# timing bursty (MMPP) vs uniform workload slice (event engine)...");
-    let (mmpp_secs, mmpp_events) =
-        workload_slice(vec![busnet::core::params::Workload::on_off_burst(
-            1.0, 0.1, 0.9, 500, None,
-        )
-        .expect("valid burst")]);
-    let mmpp_eps = mmpp_events as f64 / mmpp_secs;
-    let mmpp_ratio = mmpp_eps / uniform_eps;
-    eprintln!(
-        "# bursty 1.0/0.1 stay 0.9 dwell 500: {mmpp_events} events in {mmpp_secs:.2}s \
-         ({:.1}M ev/s) -> {mmpp_ratio:.2}x",
-        mmpp_eps / 1e6
-    );
-
-    // The PR 3 (pre-timing-wheel) kernel's event_seconds on this
-    // project's reference container — a host-specific constant kept
-    // only so regenerated files carry the kernel-over-kernel
-    // trajectory; the ratio is meaningless across different hardware.
-    const PR3_EVENT_SECONDS_BASELINE: f64 = 0.119;
-
-    // Queue microbench: timing wheel vs the reference binary heap at
-    // short / typical / beyond-window horizons (in 2-phase keys).
-    eprintln!("# timing queue churn, wheel vs heap...");
-    let queue_ops = 2_000_000u64;
-    let mut queue_json_parts = Vec::new();
-    for horizon in [64u64, 1_024, 16_384] {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let wheel_secs = time_queue_churn(
-            &mut wheel,
-            queue_ops,
-            horizon,
-            |q, t| q.schedule(t, 0),
-            |q| q.pop().expect("population stays positive").0,
-        );
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-        let heap_secs = time_queue_churn(
-            &mut heap,
-            queue_ops,
-            horizon,
-            |q, t| q.schedule(t, 0),
-            |q| q.pop().expect("population stays positive").0,
-        );
-        eprintln!(
-            "#   horizon {horizon}: wheel {:.1} ns/op, heap {:.1} ns/op -> {:.2}x",
-            wheel_secs / queue_ops as f64 * 1e9,
-            heap_secs / queue_ops as f64 * 1e9,
-            heap_secs / wheel_secs
-        );
-        queue_json_parts.push(format!(
-            "{{\"horizon\": {horizon}, \"wheel_ns_per_op\": {:.1}, \"heap_ns_per_op\": {:.1}, \
-             \"speedup\": {:.2}}}",
-            wheel_secs / queue_ops as f64 * 1e9,
-            heap_secs / queue_ops as f64 * 1e9,
-            heap_secs / wheel_secs
-        ));
-    }
-
-    // Adaptive vs fixed event cost at the Table 3–4 points: target the
-    // fixed scheme's own achieved precision, count simulated events.
-    eprintln!("# adaptive --ci-width vs fixed replications at the Table 3-4 points...");
-    let t34 = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let fixed_budget = SimBudget { engine: EngineKind::Event, ..budget };
-    let mut fixed_events = 0u64;
-    let mut adaptive_events = 0u64;
-    let mut widest_gap: f64 = 0.0;
-    for scenario in &t34 {
-        let fixed = busnet::core::scenario::BusSimEval::new(fixed_budget)
-            .evaluate(scenario)
-            .expect("in domain");
-        let adaptive_budget = fixed_budget.with_ci_width(fixed.half_width_95.max(1e-9), 16);
-        let adaptive = busnet::core::scenario::BusSimEval::new(adaptive_budget)
-            .evaluate(scenario)
-            .expect("in domain");
-        let fe = fixed.simulated_events();
-        let ae = adaptive.simulated_events();
-        fixed_events += fe;
-        adaptive_events += ae;
-        widest_gap = widest_gap.max(adaptive.half_width_95 - fixed.half_width_95);
-        eprintln!(
-            "#   {}: fixed {} events (hw {:.4}), adaptive {} events (hw {:.4})",
-            scenario.label(),
-            fe,
-            fixed.half_width_95,
-            ae,
-            adaptive.half_width_95
-        );
-    }
-    let event_savings = 1.0 - adaptive_events as f64 / fixed_events as f64;
-    eprintln!(
-        "# adaptive uses {:.1}% fewer events at matched CI width (max width excess {widest_gap:.5})",
-        event_savings * 100.0
-    );
-
-    // Fluid screening on top of the adaptive baseline: the Table 3–4
-    // grid extended with its p axis, one adaptive evaluator at a fixed
-    // CI target, with and without the `--screen fluid` pre-pass. Both
-    // runs enforce the same half-width target, so the event savings
-    // are measured at equal CI width.
-    eprintln!("# fluid screening vs plain adaptive on the Table 3-4 grid (with p axis)...");
-    let screen_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .p_values([0.2, 1.0])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let screen_ci = 0.02;
-    let screen_budget =
-        SimBudget { engine: EngineKind::Event, ..budget }.with_ci_width(screen_ci, 16);
-    let screen_sim = busnet::core::scenario::BusSimEval::new(screen_budget);
-    let screen_evaluators: [&dyn Evaluator; 1] = [&screen_sim];
-    let screen_plan = ScreenPlan::default();
-    let plain_records =
-        run_sweep(&screen_grid, &screen_evaluators, ExecutionMode::Serial, |_, _, _| {});
-    let screened_records = run_sweep_screened(
-        &screen_grid,
-        &screen_evaluators,
-        ExecutionMode::Serial,
-        Some(&screen_plan),
-        |_, _, _| {},
-    );
-    let sum_events = |records: &[SweepRecord]| -> u64 {
-        records.iter().filter_map(|r| r.result.as_ref().ok().map(|e| e.simulated_events())).sum()
-    };
-    let max_width = |records: &[SweepRecord]| -> f64 {
-        records
-            .iter()
-            .filter_map(|r| r.result.as_ref().ok().map(|e| e.half_width_95))
-            .fold(0.0, f64::max)
-    };
-    let plain_screen_events = sum_events(&plain_records);
-    let screened_events = sum_events(&screened_records);
-    let screened_points = screened_records.iter().filter(|r| r.screened).count();
-    let screening_savings = 1.0 - screened_events as f64 / plain_screen_events as f64;
-    let plain_width = max_width(&plain_records);
-    let screened_width = max_width(&screened_records);
-    eprintln!(
-        "# screening: {screened_points}/{} points screened; {plain_screen_events} -> \
-         {screened_events} events ({:.1}% fewer), max CI width {plain_width:.4} -> \
-         {screened_width:.4}",
-        screen_grid.len(),
-        screening_savings * 100.0
-    );
-
-    // Sweep amortization, analytic side: a population-axis sweep
-    // re-solved from scratch at every point pays the triangular
-    // R(R+1)/2 recursion; axis-incremental grouping warm-starts one
-    // solver pass (exactly R steps). Individual sweeps finish in
-    // microseconds, so both variants are looped for a stable clock.
-    let amort_r = 128u32;
-    let amort_rounds = 50u32;
-    eprintln!(
-        "# sweep amortization: incremental vs scratch population sweep \
-         (R = {amort_r}, {amort_rounds} rounds)..."
-    );
-    let amort_grid = ScenarioGrid::new()
-        .n_values((1..=amort_r).collect::<Vec<_>>())
-        .m_values([16])
-        .r_values([8])
-        .bufferings([Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let mva = PfqnEval { algorithm: PfqnAlgorithm::Mva };
-    let amort_evaluators: [&dyn Evaluator; 1] = [&mva];
-    let time_amort = |options: &SweepOptions| -> (f64, u64) {
-        let before = busnet::queueing::solver_iterations();
-        let start = Instant::now();
-        for _ in 0..amort_rounds {
-            run_sweep_with(&amort_grid, &amort_evaluators, options, |_, _, _| {});
-        }
-        let secs = start.elapsed().as_secs_f64();
-        (secs, (busnet::queueing::solver_iterations() - before) / u64::from(amort_rounds))
-    };
-    let (incr_secs, incr_iters) = time_amort(&SweepOptions::new(ExecutionMode::Serial));
-    let (scratch_secs, scratch_iters) = time_amort(&SweepOptions {
-        group_incremental: false,
-        ..SweepOptions::new(ExecutionMode::Serial)
-    });
-    let amort_speedup = scratch_secs / incr_secs;
-    eprintln!(
-        "# amortization: scratch {scratch_secs:.3}s ({scratch_iters} solver iterations/sweep), \
-         incremental {incr_secs:.3}s ({incr_iters}) -> {amort_speedup:.2}x"
-    );
-    if amort_speedup < 5.0 {
-        eprintln!("# amortization: incremental sweep only {amort_speedup:.2}x faster (< 5x)");
-        return ExitCode::FAILURE;
-    }
-
-    // Sweep amortization, cached side: re-running a simulated sweep
-    // against a warm memo cache must replay every record without a
-    // single evaluator call.
-    eprintln!("# sweep amortization: cold vs warm cached simulated sweep...");
-    let cache_grid = ScenarioGrid::new()
-        .n_values([8])
-        .m_values([8, 16])
-        .r_values([8])
-        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
-        .scenarios()
-        .expect("static grid is valid");
-    let cache_sim = busnet::core::scenario::BusSimEval::new(budget.with_engine(EngineKind::Event));
-    let cache_evaluators: [&dyn Evaluator; 1] = [&cache_sim];
-    let cache = EvalCache::new();
-    let cached_options =
-        SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Serial) };
-    let time_cached = || {
-        let start = Instant::now();
-        let records = run_sweep_with(&cache_grid, &cache_evaluators, &cached_options, |_, _, _| {});
-        (start.elapsed().as_secs_f64(), records)
-    };
-    let (cold_secs, _cold_records) = time_cached();
-    let misses_after_cold = cache.stats().misses;
-    let (warm_secs, warm_records) = time_cached();
-    let warm_misses = cache.stats().misses - misses_after_cold;
-    let cache_speedup = cold_secs / warm_secs;
-    eprintln!(
-        "# cache: cold {cold_secs:.3}s, warm {warm_secs:.4}s -> {cache_speedup:.0}x, \
-         {warm_misses} warm evaluator call(s)"
-    );
-    if warm_misses != 0 || !warm_records.iter().all(|r| r.cached) {
-        eprintln!("# cache: warm re-run was not a full replay");
-        return ExitCode::FAILURE;
-    }
-
-    // Supervision overhead on the 32-point grid: the serial run above
-    // is the bare baseline; one supervised re-run (catch_unwind +
-    // retry/budget plumbing, no faults) measures the isolation tax.
-    eprintln!("# timing supervised re-run of the 32-point sweep (serial)...");
-    let bench_supervisor = Supervisor::default();
-    let supervised_options = SweepOptions {
-        supervise: Some(&bench_supervisor),
-        ..SweepOptions::new(ExecutionMode::Serial)
-    };
-    let sup_start = Instant::now();
-    let supervised_records =
-        run_sweep_with(&scenarios, &evaluators, &supervised_options, |_, _, _| {});
-    let supervised_secs = sup_start.elapsed().as_secs_f64();
-    let supervised_identical = serial_records
-        .iter()
-        .zip(&supervised_records)
-        .all(|(a, b)| matches!((&a.result, &b.result), (Ok(x), Ok(y)) if x == y));
-    let supervised_overhead = supervised_secs / serial_secs - 1.0;
-    eprintln!(
-        "# supervised: {supervised_secs:.2}s vs bare {serial_secs:.2}s -> {:.1}% overhead, \
-         bit-identical: {supervised_identical}",
-        supervised_overhead * 100.0
-    );
-
-    // Serve-mode dedup: a duplicate-heavy request stream (four
-    // clients' worth of the same 16-point grid) through the broker.
-    // Coalescing plus the memo cache must hold actual evaluations to
-    // the unique-point count.
-    eprintln!("# timing the serve broker over a duplicate-heavy request stream...");
-    let serve_cache = std::sync::Arc::new(EvalCache::new());
-    let broker = Broker::new(
-        std::sync::Arc::clone(&serve_cache),
-        BrokerConfig { threads, ..BrokerConfig::default() },
-    );
-    let serve_sink: std::sync::Arc<ReplySink> =
-        std::sync::Arc::new(LineSink::new(Box::new(std::io::sink()) as Box<dyn Write + Send>));
-    let serve_unique = 16u64;
-    let serve_requests = 64u64;
-    let serve_start = Instant::now();
-    for i in 0..serve_requests {
-        let n = 2 + (i % serve_unique) * 2;
-        let line = format!(
-            "{{\"id\":{i},\"scenario\":{{\"n\":{n},\"m\":16,\"r\":8,\
-             \"buffering\":\"buffered\"}},\"evaluator\":\"pfqn\"}}"
-        );
-        match parse_request(&line) {
-            Ok(Request::Eval(req)) => broker.submit(req, &serve_sink),
-            other => {
-                eprintln!("bench request failed to parse: {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    broker.drain();
-    let serve_secs = serve_start.elapsed().as_secs_f64();
-    let serve_counters = broker.counters();
-    let serve_saved = 1.0 - serve_counters.evaluated as f64 / serve_counters.requests as f64;
-    eprintln!(
-        "# serve dedup: {} requests -> {} evaluated ({} coalesced, {} cache replies), \
-         {:.0}% evaluator calls saved",
-        serve_counters.requests,
-        serve_counters.evaluated,
-        serve_counters.coalesced,
-        serve_counters.cache_replies,
-        serve_saved * 100.0
-    );
-    if serve_saved < 0.5 {
-        eprintln!("# FAIL: duplicate-heavy serve stream saved under 50% of evaluator calls");
-        return ExitCode::FAILURE;
-    }
-
-    let host_cpus = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"32-point scenario sweep (n=8, m in 4..16, r in 2..14, both bufferings)\",\n  \
-         \"engine\": \"{engine}\",\n  \
-         \"host\": {{\n    \"os\": \"{host_os}\",\n    \"arch\": \"{host_arch}\",\n    \
-         \"cpus\": {host_cpus},\n    \"worker_threads\": {threads}\n  }},\n  \
-         \"replications\": 4,\n  \"measure_cycles\": 50000,\n  \"threads\": {threads},\n  \
-         \"serial_seconds\": {serial_secs:.3},\n  \"parallel_seconds\": {parallel_secs:.3},\n  \
-         \"speedup\": {speedup:.2},\n  \"bit_identical\": {identical},\n  \
-         \"event_vs_cycle\": {{\n    \
-         \"slice\": \"n=8, m in {{4,8,16}}, r in {{16,24,32}}, p in {{0.1,0.2}}, both bufferings\",\n    \
-         \"points\": {points},\n    \"cycle_seconds\": {cycle_secs:.3},\n    \
-         \"event_seconds\": {event_secs:.3},\n    \"speedup\": {engine_speedup:.2},\n    \
-         \"max_rel_ebw_gap\": {max_rel_gap:.4},\n    \
-         \"pr3_baseline_event_seconds\": {pr3_baseline},\n    \
-         \"throughput_vs_pr3_baseline\": {vs_pr3:.2}\n  }},\n  \
-         \"queue_vs_heap\": {{\n    \"ops\": {queue_ops},\n    \"runs\": [\n      {queue_runs}\n    ]\n  }},\n  \
-         \"hotspot_vs_uniform\": {{\n    \
-         \"slice\": \"n=8, m in {{8,16}}, r in {{8,16}}, p in {{0.2,1.0}}, both bufferings, event engine\",\n    \
-         \"hot_fraction\": 0.2,\n    \
-         \"uniform_seconds\": {uniform_secs:.3},\n    \"uniform_events\": {uniform_events},\n    \
-         \"hotspot_seconds\": {hotspot_secs:.3},\n    \"hotspot_events\": {hotspot_events},\n    \
-         \"event_throughput_ratio\": {workload_ratio:.3},\n    \
-         \"acceptance\": \"non-uniform event throughput within 10% of uniform\"\n  }},\n  \
-         \"mmpp_vs_uniform\": {{\n    \
-         \"slice\": \"n=8, m in {{8,16}}, r in {{8,16}}, p in {{0.2,1.0}}, both bufferings, event engine\",\n    \
-         \"burst\": \"on 1.0 / off 0.1, stay 0.9, dwell 500\",\n    \
-         \"uniform_seconds\": {uniform_secs:.3},\n    \"uniform_events\": {uniform_events},\n    \
-         \"mmpp_seconds\": {mmpp_secs:.3},\n    \"mmpp_events\": {mmpp_events},\n    \
-         \"event_throughput_ratio\": {mmpp_ratio:.3},\n    \
-         \"acceptance\": \"bursty event throughput within 15% of stationary uniform\"\n  }},\n  \
-         \"adaptive_vs_fixed\": {{\n    \
-         \"points\": \"Table 3-4 (n=8, m in {{8,16}}, r=8, p=1, both bufferings)\",\n    \
-         \"fixed_events\": {fixed_events},\n    \"adaptive_events\": {adaptive_events},\n    \
-         \"event_savings\": {event_savings:.3},\n    \"max_ci_width_excess\": {widest_gap:.6}\n  }},\n  \
-         \"fluid_screening\": {{\n    \
-         \"points\": \"Table 3-4 with p axis (n=8, m in {{8,16}}, r=8, p in {{0.2,1.0}}, both bufferings)\",\n    \
-         \"ci_width\": {screen_ci},\n    \"screen_tol\": {screen_tol},\n    \
-         \"adaptive_events\": {plain_screen_events},\n    \"screened_events\": {screened_events},\n    \
-         \"screened_points\": {screened_points},\n    \"total_points\": {screen_points},\n    \
-         \"event_savings\": {screening_savings:.3},\n    \
-         \"max_ci_width_plain\": {plain_width:.6},\n    \"max_ci_width_screened\": {screened_width:.6},\n    \
-         \"acceptance\": \"screening saves >= 25% of simulated events at equal CI width\"\n  }},\n  \
-         \"sweep_amortization\": {{\n    \
-         \"population_axis\": {{\n      \
-         \"slice\": \"n in 1..={amort_r}, m=16, r=8, buffered, mva evaluator, {amort_rounds} rounds\",\n      \
-         \"scratch_seconds\": {scratch_secs:.3},\n      \"incremental_seconds\": {incr_secs:.3},\n      \
-         \"speedup\": {amort_speedup:.2},\n      \
-         \"scratch_solver_iterations\": {scratch_iters},\n      \
-         \"incremental_solver_iterations\": {incr_iters},\n      \
-         \"acceptance\": \"incremental population sweep >= 5x faster than scratch at R = {amort_r}\"\n    }},\n    \
-         \"eval_cache\": {{\n      \
-         \"slice\": \"Table 3-4 (n=8, m in {{8,16}}, r=8, both bufferings), event engine\",\n      \
-         \"cold_seconds\": {cold_secs:.3},\n      \"warm_seconds\": {warm_secs:.4},\n      \
-         \"speedup\": {cache_speedup:.0},\n      \"warm_evaluator_calls\": {warm_misses},\n      \
-         \"acceptance\": \"fully warm cached re-run performs zero evaluator calls\"\n    }}\n  }},\n  \
-         \"supervised_vs_bare\": {{\n    \
-         \"slice\": \"the 32-point grid above, serial, supervised (catch_unwind + retry/budget) vs bare\",\n    \
-         \"bare_seconds\": {serial_secs:.3},\n    \"supervised_seconds\": {supervised_secs:.3},\n    \
-         \"overhead\": {supervised_overhead:.4},\n    \"bit_identical\": {supervised_identical},\n    \
-         \"acceptance\": \"supervision overhead <= 5% event throughput, results bit-identical\"\n  }},\n  \
-         \"serve_dedup\": {{\n    \
-         \"stream\": \"64 requests over 16 unique pfqn points (4 clients' worth of duplicates)\",\n    \
-         \"requests\": {serve_requests},\n    \"unique_points\": {serve_unique},\n    \
-         \"evaluated\": {serve_evaluated},\n    \"coalesced\": {serve_coalesced},\n    \
-         \"cache_replies\": {serve_cache_replies},\n    \"seconds\": {serve_secs:.3},\n    \
-         \"evaluator_calls_saved\": {serve_saved:.3},\n    \
-         \"acceptance\": \"duplicate-heavy stream saves >= 50% of evaluator calls\"\n  }}\n}}\n",
-        engine = engine.name(),
-        host_os = std::env::consts::OS,
-        host_arch = std::env::consts::ARCH,
-        points = slice.len(),
-        pr3_baseline = PR3_EVENT_SECONDS_BASELINE,
-        vs_pr3 = PR3_EVENT_SECONDS_BASELINE / event_secs,
-        queue_runs = queue_json_parts.join(",\n      "),
-        serve_evaluated = serve_counters.evaluated,
-        serve_coalesced = serve_counters.coalesced,
-        serve_cache_replies = serve_counters.cache_replies,
-        screen_tol = screen_plan.tolerance,
-        screen_points = screen_grid.len(),
-    );
-    match std::fs::write(&out, &json) {
-        Ok(()) => {
-            println!("{json}");
-            println!("# written to {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.map_err(|e| format!("request round trip failed: {e}"))?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -11,7 +11,7 @@ mod common;
 
 use common::stats::{assert_ci_overlap, assert_welch_agree, master_seed};
 
-use busnet::core::params::{ArbitrationKind, Buffering, SystemParams};
+use busnet::core::params::{ArbitrationKind, Buffering, SystemParams, Workload};
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget};
 use busnet::core::sim::bus::{BusSimBuilder, EngineKind};
 use busnet::sim::exec::ExecutionMode;
@@ -36,6 +36,40 @@ fn paper_operating_points() -> Vec<Scenario> {
         .unwrap();
     scenarios.push(Scenario::new(SystemParams::new(4, 4, 8).unwrap()));
     scenarios
+}
+
+/// The event engine does O(activity) work: about 4 events per round
+/// trip plus think timers and blocked-completion rechecks, stationary
+/// or bursty. A change that reintroduces per-idle-cycle work blows this
+/// budget by roughly `(r + 2) / p`×.
+#[test]
+fn event_engine_stays_within_its_event_budget() {
+    let (warmup, measure) = (1_000u64, 10_000u64);
+    let budget = SimBudget { warmup, measure, ..SimBudget::quick() }.with_engine(EngineKind::Event);
+    let scenarios = ScenarioGrid::new()
+        .n_values([8])
+        .m_values([8, 16])
+        .r_values([8, 24])
+        .p_values([0.2, 1.0])
+        .bufferings([Buffering::Unbuffered, Buffering::Buffered])
+        .workloads([Workload::Uniform, Workload::on_off_burst(1.0, 0.1, 0.9, 500, None).unwrap()])
+        .scenarios()
+        .unwrap();
+    assert_eq!(scenarios.len(), 32);
+    for scenario in &scenarios {
+        let report = BusSimEval::new(budget).builder_for(scenario, 0x5EED).run();
+        // Returns are counted over the measured window only: scale them
+        // to the whole run, then allow 8 events per return plus
+        // per-processor slack for dropped think timers.
+        let returns = report.returns * (warmup + measure) / report.measured_cycles;
+        let allowed = 8 * returns + 4 * u64::from(scenario.params.n()) + 64;
+        assert!(
+            report.events <= allowed,
+            "{}: {} events exceed the budget of {allowed}",
+            scenario.label(),
+            report.events
+        );
+    }
 }
 
 /// Both engines estimate the same EBW: their 95% intervals (plus a

@@ -157,11 +157,20 @@ fn serial_and_parallel_chaos_sweeps_match() {
 /// The budget watchdog: an absurdly small event ceiling trips every
 /// simulation unit (degrading under `degrade`), while a generous
 /// ceiling is bit-invisible — budgeted-but-untripped runs match the
-/// unbudgeted baseline exactly.
+/// unbudgeted baseline exactly, and so does a bare (unsupervised)
+/// sweep.
 #[test]
 fn budget_watchdog_trips_and_is_otherwise_invisible() {
     let scenarios = smoke_grid();
     let baseline = supervised(&scenarios, &Supervisor::default(), None);
+    let sim = BusSimEval::new(SimBudget::quick());
+    let evaluators: [&dyn Evaluator; 1] = [&sim];
+    let bare = run_sweep_with(
+        &scenarios,
+        &evaluators,
+        &SweepOptions::new(ExecutionMode::Parallel),
+        |_, _, _| {},
+    );
 
     let tight = Supervisor {
         max_retries: 0,
@@ -181,12 +190,12 @@ fn budget_watchdog_trips_and_is_otherwise_invisible() {
         ..Supervisor::default()
     };
     let untripped = supervised(&scenarios, &roomy, None);
-    for (b, u) in baseline.iter().zip(&untripped) {
+    for (b, u) in baseline.iter().zip(&untripped).chain(baseline.iter().zip(&bare)) {
         assert_eq!(u.status, UnitStatus::Ok);
         assert_eq!(
             b.result.as_ref().unwrap(),
             u.result.as_ref().unwrap(),
-            "untripped budget changed {}",
+            "an untripped budget or a bare sweep changed {}",
             b.scenario.label()
         );
     }

@@ -17,6 +17,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use busnet::core::serve::MAX_REQUEST_BYTES;
+
 /// A serve process bound to a private Unix socket; killed (and its
 /// socket removed) on drop so a failing test never leaks a server.
 struct Server {
@@ -157,7 +159,13 @@ fn duplicate_requests_are_bit_identical_with_one_evaluator_call() {
 fn bad_requests_earn_structured_errors_and_the_connection_survives() {
     let server = Server::spawn("errors", &[]);
     let mut client = server.connect();
+    // Nesting this deep once overflowed the parser's stack and aborted
+    // the whole server.
+    let too_deep = "[".repeat(300_000);
+    let too_long = format!(r#"{{"id":15,"pad":"{}"}}"#, "x".repeat(MAX_REQUEST_BYTES));
     let cases = [
+        (too_deep.as_str(), "error", "malformed"),
+        (too_long.as_str(), "error", "exceeds"),
         ("{definitely not json", "error", "malformed"),
         (
             r#"{"id":10,"scenario":{"n":8,"m":16,"r":8},"evaluator":"frobnicator"}"#,
