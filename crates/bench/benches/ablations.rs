@@ -8,8 +8,7 @@ use std::hint::black_box;
 
 use busnet_core::analytic::approx::{ApproxModel, ApproxVariant};
 use busnet_core::analytic::reduced::{CompletionModel, ReducedArbitration, ReducedChain};
-use busnet_core::params::{Buffering, BusPolicy, SystemParams};
-use busnet_core::sim::address::AddressPattern;
+use busnet_core::params::{Buffering, BusPolicy, SystemParams, Workload};
 use busnet_core::sim::bus::{ArbitrationKind, BusSimBuilder};
 
 fn params() -> SystemParams {
@@ -107,13 +106,12 @@ fn ablation_extensions(c: &mut Criterion) {
         builder.seed(5).warmup_cycles(2_000).measure_cycles(30_000).build().run().ebw()
     };
     let base = || BusSimBuilder::new(params()).buffering(Buffering::Buffered);
+    let depth4 = || base().buffering(Buffering::Depth(4));
+    let hot_spot = || base().workload(Workload::hot_spot(0.4, 0).expect("valid fraction"));
     println!("  baseline              : {:.3}", run(base()));
-    println!("  buffer depth 4        : {:.3}", run(base().buffer_depth(4)));
+    println!("  buffer depth 4        : {:.3}", run(depth4()));
     println!("  2 channels            : {:.3}", run(base().channels(2)));
-    println!(
-        "  hot spot 40% on 1 mod : {:.3}",
-        run(base().addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: 0.4 }))
-    );
+    println!("  hot spot 40% on 1 mod : {:.3}", run(hot_spot()));
     println!(
         "  round-robin arbiter   : {:.3}",
         run(base().arbitration(ArbitrationKind::RoundRobin))
@@ -121,15 +119,9 @@ fn ablation_extensions(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_extensions");
     group.sample_size(10);
     group.bench_function("baseline", |b| b.iter(|| black_box(run(base()))));
-    group.bench_function("depth4", |b| b.iter(|| black_box(run(base().buffer_depth(4)))));
+    group.bench_function("depth4", |b| b.iter(|| black_box(run(depth4()))));
     group.bench_function("channels2", |b| b.iter(|| black_box(run(base().channels(2)))));
-    group.bench_function("hotspot", |b| {
-        b.iter(|| {
-            black_box(run(
-                base().addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: 0.4 })
-            ))
-        })
-    });
+    group.bench_function("hotspot", |b| b.iter(|| black_box(run(hot_spot()))));
     group.bench_function("round_robin", |b| {
         b.iter(|| black_box(run(base().arbitration(ArbitrationKind::RoundRobin))))
     });

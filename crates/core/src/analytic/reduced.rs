@@ -591,23 +591,20 @@ mod tests {
     /// paper itself could only simulate this regime).
     #[test]
     fn p_extension_matches_simulation() {
-        use crate::sim::runner::EbwExperiment;
+        use crate::scenario::{BusSimEval, Evaluator, Scenario, SimBudget};
+        let budget =
+            SimBudget { replications: 2, warmup: 2_000, measure: 30_000, ..SimBudget::paper() };
         for (n, m, r) in [(8u32, 16u32, 8u32), (4, 4, 6)] {
             for p10 in [3u32, 6, 9] {
                 let p = f64::from(p10) / 10.0;
                 let params =
                     SystemParams::new(n, m, r).unwrap().with_request_probability(p).unwrap();
                 let model = ReducedChain::new(params).ebw().unwrap();
-                let sim = EbwExperiment::new(params)
-                    .replications(2)
-                    .warmup_cycles(2_000)
-                    .measure_cycles(30_000)
-                    .run();
-                let rel = (model - sim.ebw).abs() / sim.ebw;
+                let sim = BusSimEval::new(budget).evaluate(&Scenario::new(params)).unwrap().ebw();
+                let rel = (model - sim).abs() / sim;
                 assert!(
                     rel < 0.05,
-                    "p={p} ({n},{m},{r}): model {model:.3} vs sim {:.3} ({rel:.3})",
-                    sim.ebw
+                    "p={p} ({n},{m},{r}): model {model:.3} vs sim {sim:.3} ({rel:.3})"
                 );
             }
         }

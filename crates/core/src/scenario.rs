@@ -998,6 +998,28 @@ impl SimBudget {
         self.stopping = Stopping::Adaptive { ci_width, max_reps };
         self
     }
+
+    /// The batch-means stopping plan of an adaptive budget (`None`
+    /// under [`Stopping::Fixed`]): batches of `measure / 4` cycles, at
+    /// least 8 of them, and a ceiling of `max_reps × measure` measured
+    /// cycles (never below two batches). `prior` is the optional fluid
+    /// screening prediction the stopping rule may confirm early.
+    pub fn adaptive_plan(&self, prior: Option<PriorSeed>) -> Option<AdaptivePlan> {
+        let Stopping::Adaptive { ci_width, max_reps } = self.stopping else {
+            return None;
+        };
+        let batch_cycles = (self.measure / 4).max(1);
+        Some(AdaptivePlan {
+            ci_width,
+            batch_cycles,
+            min_batches: 8,
+            max_measure: self
+                .measure
+                .saturating_mul(u64::from(max_reps.max(1)))
+                .max(2 * batch_cycles),
+            prior,
+        })
+    }
 }
 
 impl Default for SimBudget {
@@ -1231,26 +1253,15 @@ impl Evaluator for BusSimEval {
         // to an unbudgeted one.
         let seeds = SeedSequence::new(self.budget.master_seed);
         let watchdog = budget.copied().unwrap_or_default();
-        match self.budget.stopping {
-            Stopping::Fixed => {
+        match self.budget.adaptive_plan(prior) {
+            None => {
                 let report = self
                     .builder_for(scenario, seeds.stream(u64::from(unit)))
                     .run_budgeted(&watchdog)?;
                 Ok(EvalUnit::Replication(Box::new(report)))
             }
-            Stopping::Adaptive { ci_width, max_reps } => {
+            Some(plan) => {
                 debug_assert_eq!(unit, 0, "adaptive runs are a single unit");
-                let plan = AdaptivePlan {
-                    ci_width,
-                    batch_cycles: (self.budget.measure / 4).max(1),
-                    min_batches: 8,
-                    max_measure: self
-                        .budget
-                        .measure
-                        .saturating_mul(u64::from(max_reps.max(1)))
-                        .max(2 * (self.budget.measure / 4).max(1)),
-                    prior,
-                };
                 let outcome = self
                     .builder_for(scenario, seeds.stream(0))
                     .run_adaptive_budgeted(&plan, &watchdog)?;
@@ -1822,23 +1833,29 @@ impl ScenarioGrid {
         self
     }
 
-    /// Number of scenarios the grid expands to. Counts each distinct
-    /// axis value once, matching [`ScenarioGrid::scenarios`]'s
-    /// deduplication of repeated list-axis entries.
+    /// Number of scenarios the grid expands to, saturating at
+    /// `usize::MAX`. Counts each distinct axis value once, matching
+    /// [`ScenarioGrid::scenarios`]'s deduplication of repeated
+    /// list-axis entries.
     pub fn len(&self) -> usize {
         let r = match &self.r {
             RAxis::Values(v) => dedup_axis(v).len(),
             RAxis::MinNmPlus(_) => 1,
         };
-        dedup_axis(&self.n).len()
-            * dedup_axis(&self.m).len()
-            * r
-            * dedup_axis(&self.p).len()
-            * dedup_axis(&self.policies).len()
-            * dedup_axis(&self.bufferings).len()
-            * dedup_axis(&self.arbitrations).len()
-            * dedup_axis(&self.workloads).len()
-            * dedup_axis(&self.buses).len()
+        [
+            dedup_axis(&self.n).len(),
+            dedup_axis(&self.m).len(),
+            r,
+            dedup_axis(&self.p).len(),
+            dedup_axis(&self.policies).len(),
+            dedup_axis(&self.bufferings).len(),
+            dedup_axis(&self.arbitrations).len(),
+            dedup_axis(&self.workloads).len(),
+            dedup_axis(&self.buses).len(),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .unwrap_or(usize::MAX)
     }
 
     /// Whether the grid is degenerate (some axis has no values).
@@ -2811,6 +2828,19 @@ mod tests {
         assert!(e.half_width_95 >= 0.0);
         assert_eq!(e.replications, 2);
         assert!(e.covers(e.ebw(), 0.0));
+        assert!(!e.covers(e.ebw() + 1.0, 0.5));
+    }
+
+    #[test]
+    fn interval_tightens_with_more_cycles() {
+        let s = Scenario::new(params(8, 8, 8));
+        let interval = |warmup, measure| {
+            let budget = SimBudget { replications: 6, warmup, measure, ..SimBudget::paper() };
+            BusSimEval::new(budget).evaluate(&s).unwrap().half_width_95
+        };
+        let short = interval(200, 2_000);
+        let long = interval(2_000, 50_000);
+        assert!(long < short, "long {long} vs short {short}");
     }
 
     #[test]
@@ -2822,6 +2852,25 @@ mod tests {
         let parallel =
             BusSimEval::new(budget.with_mode(ExecutionMode::Parallel)).evaluate(&s).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn grid_len_saturates_instead_of_wrapping() {
+        let axis: Vec<u32> = (1..=1024).collect();
+        let fractions: Vec<f64> = axis.iter().map(|&i| f64::from(i) / 1024.0).collect();
+        let grid = ScenarioGrid::new()
+            .n_values(axis.clone())
+            .m_values(axis.clone())
+            .r_values(axis.clone())
+            .p_values(fractions.clone())
+            .bufferings(axis.iter().map(|&k| Buffering::Depth(k)).collect::<Vec<_>>())
+            .workloads(
+                fractions.iter().map(|&q| Workload::hot_spot(q, 0).unwrap()).collect::<Vec<_>>(),
+            )
+            .buses_values(axis.clone());
+        // 2^70 points: the count saturates rather than wrapping.
+        assert_eq!(grid.len(), usize::MAX);
+        assert_eq!(ScenarioGrid::new().n_values(axis).m_values([4, 8]).len(), 2048);
     }
 
     #[test]

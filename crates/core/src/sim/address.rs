@@ -1,4 +1,4 @@
-//! Memory-addressing patterns and the shared workload samplers.
+//! The shared workload samplers: module targets and think timers.
 //!
 //! The paper's hypothesis *e* assumes requests are uniformly
 //! distributed over the `m` modules, and hypothesis *f* gives every
@@ -17,11 +17,6 @@
 //!   event engines: one shared [`GeometricAlias`] table when thinking
 //!   is homogeneous (the bit-identical legacy path), one table per
 //!   processor under [`Workload::Heterogeneous`].
-//!
-//! [`AddressPattern`] is the legacy hot-spot knob that predates the
-//! workload axis; it lowers onto a [`Workload`] via
-//! [`AddressPattern::to_workload`] and is kept for the existing
-//! builder surface.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +28,6 @@ use rand::Rng;
 use busnet_sim::event::{CategoricalAlias, GeometricAlias};
 
 use crate::cache::workload_fingerprint;
-use crate::error::CoreError;
 use crate::params::{MmppSpec, Workload};
 
 /// Upper bound on entries per sampler pool. A sweep touches one entry
@@ -83,77 +77,6 @@ where
         pool.insert(key, Arc::clone(&built));
     }
     built
-}
-
-/// How a processor picks the module for its next request (the legacy
-/// pre-[`Workload`] surface; see [`AddressPattern::to_workload`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum AddressPattern {
-    /// Hypothesis *e*: uniform over all `m` modules.
-    #[default]
-    Uniform,
-    /// A fraction of requests concentrates on the first `hot_modules`
-    /// modules; the rest spread uniformly over all modules.
-    HotSpot {
-        /// Number of "hot" modules (must be ≥ 1 and ≤ m at run time).
-        hot_modules: u32,
-        /// Probability that a request is directed at the hot set.
-        hot_probability: f64,
-    },
-}
-
-impl AddressPattern {
-    /// Validates the pattern against a module count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] when the hot set is empty, larger
-    /// than `m`, or the probability is outside `[0, 1]`.
-    pub fn validate(&self, m: u32) -> Result<(), CoreError> {
-        if let AddressPattern::HotSpot { hot_modules, hot_probability } = *self {
-            if hot_modules == 0 || hot_modules > m {
-                return Err(CoreError::InvalidParameter {
-                    name: "hot_modules",
-                    value: hot_modules.to_string(),
-                    constraint: "1 <= hot_modules <= m",
-                });
-            }
-            if !(hot_probability.is_finite() && (0.0..=1.0).contains(&hot_probability)) {
-                return Err(CoreError::InvalidParameter {
-                    name: "hot_probability",
-                    value: hot_probability.to_string(),
-                    constraint: "0 <= hot_probability <= 1",
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Lowers the pattern onto the canonical [`Workload`] axis for an
-    /// `m`-module system: a single-module hot set becomes
-    /// [`Workload::HotSpot`], a wider one the equivalent
-    /// [`Workload::Weighted`] distribution (`hot_probability/hot_modules
-    /// + (1 − hot_probability)/m` per hot module).
-    ///
-    /// # Errors
-    ///
-    /// As [`AddressPattern::validate`].
-    pub fn to_workload(&self, m: u32) -> Result<Workload, CoreError> {
-        self.validate(m)?;
-        match *self {
-            AddressPattern::Uniform => Ok(Workload::Uniform),
-            AddressPattern::HotSpot { hot_modules: 1, hot_probability } => {
-                Workload::hot_spot(hot_probability, 0)
-            }
-            AddressPattern::HotSpot { hot_modules, hot_probability } => {
-                let base = (1.0 - hot_probability) / f64::from(m);
-                let extra = hot_probability / f64::from(hot_modules);
-                let weights: Vec<f64> =
-                    (0..m).map(|j| if j < hot_modules { base + extra } else { base }).collect();
-                Workload::weighted(weights)
-            }
-        }
-    }
 }
 
 /// O(1) module-target sampler shared by every engine: the uniform path
@@ -401,23 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pattern_lowers_onto_workloads() {
-        assert_eq!(AddressPattern::Uniform.to_workload(8).unwrap(), Workload::Uniform);
-        let single = AddressPattern::HotSpot { hot_modules: 1, hot_probability: 0.6 };
-        assert_eq!(single.to_workload(8).unwrap(), Workload::HotSpot { fraction: 0.6, module: 0 });
-        let wide = AddressPattern::HotSpot { hot_modules: 2, hot_probability: 0.5 };
-        let dist = wide.to_workload(4).unwrap().module_distribution(4);
-        // Hot modules: 0.5/2 + 0.5/4 = 0.375 each; cold: 0.125 each.
-        assert!((dist[0] - 0.375).abs() < 1e-12 && (dist[1] - 0.375).abs() < 1e-12);
-        assert!((dist[2] - 0.125).abs() < 1e-12 && (dist[3] - 0.125).abs() < 1e-12);
-        // Degenerate all-hot set is exactly uniform mass.
-        let all = AddressPattern::HotSpot { hot_modules: 4, hot_probability: 0.7 };
-        for q in all.to_workload(4).unwrap().module_distribution(4) {
-            assert!((q - 0.25).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn sampler_pool_shares_tables_and_preserves_draws() {
         let workload = Workload::hot_spot(0.3, 1).unwrap();
         let a = ModuleSampler::for_workload(&workload, 8);
@@ -488,22 +394,5 @@ mod tests {
         .unwrap();
         let single_state = MmppState::new(Arc::clone(single.mmpp_spec().unwrap()), 2, 2);
         assert_eq!(single_state.next_boundary(0), None);
-    }
-
-    #[test]
-    fn validation_bounds() {
-        assert!(AddressPattern::Uniform.validate(4).is_ok());
-        assert!(AddressPattern::HotSpot { hot_modules: 0, hot_probability: 0.5 }
-            .validate(4)
-            .is_err());
-        assert!(AddressPattern::HotSpot { hot_modules: 5, hot_probability: 0.5 }
-            .validate(4)
-            .is_err());
-        assert!(AddressPattern::HotSpot { hot_modules: 2, hot_probability: 1.5 }
-            .validate(4)
-            .is_err());
-        assert!(AddressPattern::HotSpot { hot_modules: 2, hot_probability: 0.9 }
-            .validate(4)
-            .is_ok());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. Processors whose think timer expired flip a Bernoulli(`p`) coin:
 //!    success issues a request to a module drawn from the
-//!    [`AddressPattern`], failure waits one processor cycle and flips
+//!    [`Workload`], failure waits one processor cycle and flips
 //!    again (hypothesis *f*).
 //! 2. If a bus channel is free, arbitration: memory candidates are
 //!    modules holding a finished result; processor candidates are
@@ -61,8 +61,7 @@
 //!   the [`SimReport`];
 //! * [`BusSimBuilder::workload`] — non-uniform workloads (hot-spot /
 //!   weighted reference skew, per-processor think probabilities),
-//!   relaxing hypotheses *e* and *f*; the legacy
-//!   [`BusSimBuilder::addressing`] knob lowers onto the same axis.
+//!   relaxing hypotheses *e* and *f*.
 
 use std::collections::VecDeque;
 
@@ -79,7 +78,7 @@ use busnet_sim::stats::{jain_fairness_index, RunningStats};
 use crate::error::CoreError;
 use crate::metrics::Metrics;
 use crate::params::{Buffering, BusPolicy, SystemParams, Workload};
-use crate::sim::address::{AddressPattern, MmppState, ModuleSampler};
+use crate::sim::address::{MmppState, ModuleSampler};
 use crate::sim::event_bus::EventBusSim;
 use crate::sim::service::ServiceTime;
 
@@ -200,9 +199,7 @@ pub struct BusSimBuilder {
     pub(crate) params: SystemParams,
     pub(crate) policy: BusPolicy,
     pub(crate) buffering: Buffering,
-    pub(crate) buffer_depth: Option<u32>,
     pub(crate) channels: u32,
-    pub(crate) addressing: AddressPattern,
     pub(crate) workload: Workload,
     pub(crate) arbitration: ArbitrationKind,
     pub(crate) engine: EngineKind,
@@ -224,9 +221,7 @@ impl BusSimBuilder {
             params,
             policy: BusPolicy::ProcessorPriority,
             buffering: Buffering::Unbuffered,
-            buffer_depth: None,
             channels: 1,
-            addressing: AddressPattern::Uniform,
             workload: Workload::Uniform,
             arbitration: ArbitrationKind::Random,
             engine: EngineKind::Cycle,
@@ -263,69 +258,23 @@ impl BusSimBuilder {
         self
     }
 
-    /// Overrides the FIFO depth implied by the buffering scheme (the
-    /// legacy knob for deepening the paper's §6 scheme: valid together
-    /// with [`Buffering::Buffered`], or with a matching
-    /// [`Buffering::Depth`]). Any other combination is rejected at
-    /// build time by [`BusSimBuilder::resolved_depth`] instead of being
-    /// silently ignored — prefer setting the depth directly through
-    /// [`BusSimBuilder::buffering`].
-    pub fn buffer_depth(mut self, depth: u32) -> Self {
-        self.buffer_depth = Some(depth);
-        self
-    }
-
     /// The effective input/output FIFO depth the built simulator will
-    /// use: the depth implied by the [`Buffering`] scheme, checked for
-    /// consistency against any explicit [`BusSimBuilder::buffer_depth`]
-    /// override.
+    /// use: the depth implied by the [`Buffering`] scheme (0 when
+    /// unbuffered, `k` for `Depth(k)`, `n` when infinite).
     ///
     /// # Errors
     ///
-    /// [`crate::CoreError::InvalidParameter`] when the scheme itself is
-    /// invalid (`Depth(k)` with `k > 4096`) or the override contradicts
-    /// it (an override on an unbuffered or infinite scheme, a zero
-    /// override on a buffered one, or a `Depth(k)` mismatch).
+    /// [`crate::CoreError::InvalidParameter`] when the scheme is
+    /// invalid (`Depth(k)` with `k > 4096`).
     pub fn resolved_depth(&self) -> Result<u32, crate::CoreError> {
         self.buffering.validate()?;
-        let implied = self.buffering.effective_depth(self.params.n());
-        let conflict = |value: String, constraint: &'static str| {
-            Err(crate::CoreError::InvalidParameter { name: "buffer_depth", value, constraint })
-        };
-        match (self.buffering, self.buffer_depth) {
-            (_, None) => Ok(implied),
-            (Buffering::Depth(k), Some(d)) if d == k => Ok(k),
-            (Buffering::Depth(_), Some(d)) => {
-                conflict(d.to_string(), "buffer_depth must match Buffering::Depth(k)")
-            }
-            (Buffering::Buffered, Some(0)) => conflict(
-                "0".to_owned(),
-                "the buffered scheme needs depth >= 1 (use Buffering::Unbuffered)",
-            ),
-            (Buffering::Buffered, Some(d)) => {
-                Buffering::Depth(d).validate()?;
-                Ok(d)
-            }
-            (Buffering::Unbuffered | Buffering::Infinite, Some(d)) => conflict(
-                d.to_string(),
-                "buffer_depth applies only to Buffering::Buffered / Buffering::Depth(k)",
-            ),
-        }
+        Ok(self.buffering.effective_depth(self.params.n()))
     }
 
     /// Sets the number of multiplexed bus channels (extension; the
     /// paper's system has 1). Values are clamped to at least 1.
     pub fn channels(mut self, channels: u32) -> Self {
         self.channels = channels.max(1);
-        self
-    }
-
-    /// Sets the request addressing pattern (the legacy hot-spot knob;
-    /// prefer [`BusSimBuilder::workload`], the canonical axis it
-    /// lowers onto — setting both to non-uniform values is rejected at
-    /// build time).
-    pub fn addressing(mut self, addressing: AddressPattern) -> Self {
-        self.addressing = addressing;
         self
     }
 
@@ -337,28 +286,13 @@ impl BusSimBuilder {
         self
     }
 
-    /// The effective [`Workload`] the built simulator will drive:
-    /// [`BusSimBuilder::workload`] unless the legacy
-    /// [`BusSimBuilder::addressing`] knob was set, which lowers onto
-    /// the workload axis.
+    /// The validated [`Workload`] the built simulator will drive.
     ///
     /// # Errors
     ///
-    /// [`crate::CoreError::InvalidParameter`] when the workload (or
-    /// legacy pattern) is invalid for this system, or when both knobs
-    /// are set to non-uniform values.
+    /// [`crate::CoreError::InvalidParameter`] when the workload is
+    /// invalid for this system.
     pub fn resolved_workload(&self) -> Result<Workload, crate::CoreError> {
-        let legacy = self.addressing != AddressPattern::Uniform;
-        if legacy && !self.workload.is_uniform() {
-            return Err(crate::CoreError::InvalidParameter {
-                name: "workload",
-                value: self.workload.name(),
-                constraint: "addressing and workload cannot both be non-uniform",
-            });
-        }
-        if legacy {
-            return self.addressing.to_workload(self.params.m());
-        }
         self.workload.validate(self.params.n(), self.params.m())?;
         Ok(self.workload.clone())
     }
@@ -417,9 +351,9 @@ impl BusSimBuilder {
     /// # Panics
     ///
     /// Panics if an explicitly supplied service-time distribution,
-    /// address pattern, or buffer-depth override is invalid (validate
-    /// beforehand with [`ServiceTime::validate`] /
-    /// [`AddressPattern::validate`] /
+    /// workload, or buffering scheme is invalid (validate beforehand
+    /// with [`ServiceTime::validate`] /
+    /// [`BusSimBuilder::resolved_workload`] /
     /// [`BusSimBuilder::resolved_depth`]).
     pub fn build(self) -> BusSim {
         let memory_service = self.memory_service.unwrap_or(ServiceTime::Constant(self.params.r()));
@@ -428,7 +362,7 @@ impl BusSimBuilder {
         let workload = self.resolved_workload().expect("invalid workload");
         let n = self.params.n() as usize;
         let m = self.params.m() as usize;
-        let depth = self.resolved_depth().expect("inconsistent buffering configuration");
+        let depth = self.resolved_depth().expect("invalid buffering scheme");
         let p = self.params.p();
         // Bursty workloads carry phase-chain state; the initial target
         // sampler and think probabilities are phase 0's.
@@ -1441,8 +1375,7 @@ mod tests {
     fn deeper_buffers_do_not_hurt() {
         let ebw_at_depth = |depth| {
             BusSimBuilder::new(SystemParams::new(8, 4, 8).unwrap())
-                .buffering(Buffering::Buffered)
-                .buffer_depth(depth)
+                .buffering(Buffering::Depth(depth))
                 .seed(29)
                 .warmup_cycles(5_000)
                 .measure_cycles(60_000)
@@ -1479,7 +1412,7 @@ mod tests {
     fn hot_spot_degrades_ebw() {
         let uniform = quick_run(8, 8, 8, BusPolicy::ProcessorPriority, Buffering::Unbuffered, 7);
         let hot = BusSimBuilder::new(SystemParams::new(8, 8, 8).unwrap())
-            .addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: 0.6 })
+            .workload(Workload::hot_spot(0.6, 0).unwrap())
             .seed(7)
             .warmup_cycles(5_000)
             .measure_cycles(60_000)
@@ -1534,8 +1467,7 @@ mod tests {
     #[test]
     fn invariants_hold_throughout() {
         let mut sim = BusSimBuilder::new(SystemParams::new(6, 5, 7).unwrap())
-            .buffering(Buffering::Buffered)
-            .buffer_depth(2)
+            .buffering(Buffering::Depth(2))
             .channels(2)
             .seed(13)
             .build();

@@ -254,7 +254,7 @@ impl EventBusSim {
         let workload = b.resolved_workload().expect("invalid workload");
         let n = b.params.n() as usize;
         let m = b.params.m() as usize;
-        let depth = b.resolved_depth().expect("inconsistent buffering configuration");
+        let depth = b.resolved_depth().expect("invalid buffering scheme");
         let seeds = SeedSequence::new(b.seed);
         let proc_seeds = seeds.child(0);
         let module_seeds = seeds.child(1);

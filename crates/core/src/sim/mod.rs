@@ -15,8 +15,10 @@
 //! * [`service`] — service-time distributions: the paper's constant
 //!   times, plus geometric (discrete exponential) variants for the §6
 //!   product-form comparison.
-//! * [`runner`] — replication drivers yielding EBW estimates with
-//!   confidence intervals.
+//!
+//! Replicated runs with confidence intervals go through the scenario
+//! API: [`crate::scenario::BusSimEval`] evaluates one
+//! [`crate::scenario::Scenario`] under a [`crate::scenario::SimBudget`].
 //!
 //! Arbitration (`bus::ArbitrationKind`, re-exported from
 //! `busnet_core::params`) is pluggable across both network simulators:
@@ -27,5 +29,4 @@ pub mod address;
 pub mod bus;
 pub mod crossbar;
 pub mod event_bus;
-pub mod runner;
 pub mod service;

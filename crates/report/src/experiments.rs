@@ -66,9 +66,10 @@ fn crossbar_sim_eval(effort: Effort) -> CrossbarSimEval {
 }
 
 /// Runs `evaluators` over `scenarios` (scenario-major order) and
-/// collects the evaluations, propagating the first failure. The outer
-/// loop is serial; the simulation evaluators parallelize their own
-/// replications.
+/// collects the evaluations, propagating the first failure. Everything
+/// runs on the calling thread: the sweep schedules each replication as
+/// its own work unit and never calls [`Evaluator::evaluate`], so the
+/// budget's [`SimBudget::mode`] does not apply here.
 fn evaluate_all(
     scenarios: &[Scenario],
     evaluators: &[&dyn Evaluator],

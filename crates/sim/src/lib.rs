@@ -35,8 +35,8 @@
 //!   batches.
 //! * [`sink`] — a locked whole-line writer ([`sink::LineSink`]) so
 //!   concurrent batch completions never interleave output rows.
-//! * [`replication`] — independent-replications experiment driver with
-//!   summary statistics, serial or parallel.
+//! * [`replication`] — summary statistics over independent
+//!   replications (mean and Student-t confidence interval).
 //! * [`batch`] — batch-means analysis for single-run estimation,
 //!   including the sequential stopping rule
 //!   ([`batch::SequentialStopping`]) behind adaptive-precision
@@ -46,16 +46,22 @@
 //!
 //! # Example
 //!
-//! Estimate the mean of a noisy per-replication metric:
+//! Estimate the mean of a noisy per-replication metric, one seed
+//! stream per replication, fanned out in parallel (bit-identical to a
+//! serial run):
 //!
 //! ```
-//! use busnet_sim::replication::{ReplicationPlan, run_replications};
+//! use busnet_sim::exec::{parallel_map, ExecutionMode};
+//! use busnet_sim::replication::ReplicationSummary;
+//! use busnet_sim::seeds::SeedSequence;
 //!
-//! let plan = ReplicationPlan::new(8, 0xBEEF);
-//! let summary = run_replications(&plan, |_, seed| {
+//! let seeds = SeedSequence::new(0xBEEF);
+//! let streams: Vec<u64> = (0..8).map(|i| seeds.stream(i)).collect();
+//! let values = parallel_map(&streams, ExecutionMode::Parallel, |_, &seed| {
 //!     // A "simulation" that just hashes its seed into [0, 1).
 //!     (seed % 1000) as f64 / 1000.0
 //! });
+//! let summary = ReplicationSummary::from_values(values);
 //! assert_eq!(summary.replications(), 8);
 //! assert!(summary.half_width_95() >= 0.0);
 //! ```
@@ -85,8 +91,6 @@ pub use counters::{QueueOccupancy, SimCounters};
 pub use event::{EngineKind, EventQueue};
 pub use exec::{parallel_map, parallel_map_progress, ExecutionMode};
 pub use histogram::Histogram;
-pub use replication::{
-    run_replications, run_replications_with, ReplicationPlan, ReplicationSummary,
-};
+pub use replication::ReplicationSummary;
 pub use seeds::SeedSequence;
 pub use stats::{RunningStats, TimeWeighted};

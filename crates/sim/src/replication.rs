@@ -1,48 +1,6 @@
-//! Independent-replications experiment driver, serial or parallel.
+//! Summary statistics over independent replications.
 
-use crate::exec::{parallel_map, ExecutionMode};
-use crate::seeds::SeedSequence;
 use crate::stats::RunningStats;
-
-/// How many independent replications to run and from which master seed.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::replication::ReplicationPlan;
-///
-/// let plan = ReplicationPlan::new(8, 1234);
-/// assert_eq!(plan.replications(), 8);
-/// let seeds: Vec<u64> = plan.seeds().collect();
-/// assert_eq!(seeds.len(), 8);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ReplicationPlan {
-    replications: u32,
-    seeds: SeedSequence,
-}
-
-impl ReplicationPlan {
-    /// A plan with `replications` runs derived from `master_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replications == 0`.
-    pub fn new(replications: u32, master_seed: u64) -> Self {
-        assert!(replications > 0, "need at least one replication");
-        ReplicationPlan { replications, seeds: SeedSequence::new(master_seed) }
-    }
-
-    /// Number of replications.
-    pub fn replications(&self) -> u32 {
-        self.replications
-    }
-
-    /// Iterator over the per-replication seeds.
-    pub fn seeds(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..u64::from(self.replications)).map(|i| self.seeds.stream(i))
-    }
-}
 
 /// Aggregated result of a replicated experiment.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,110 +51,41 @@ impl ReplicationSummary {
     }
 }
 
-/// Runs `experiment(replication_index, seed)` for every replication of
-/// `plan` and summarizes the returned scalar metric.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::replication::{ReplicationPlan, run_replications};
-///
-/// let plan = ReplicationPlan::new(4, 7);
-/// let summary = run_replications(&plan, |i, _seed| i as f64);
-/// assert_eq!(summary.mean(), 1.5);
-/// ```
-pub fn run_replications(
-    plan: &ReplicationPlan,
-    mut experiment: impl FnMut(u32, u64) -> f64,
-) -> ReplicationSummary {
-    let values: Vec<f64> =
-        plan.seeds().enumerate().map(|(i, seed)| experiment(i as u32, seed)).collect();
-    ReplicationSummary::from_values(values)
-}
-
-/// Runs the replications of `plan` under `mode` and summarizes.
-///
-/// Each replication is a pure function of its `(index, seed)` pair, so
-/// the summary is **bit-identical** across execution modes — parallel
-/// runs reorder nothing and share no state. This is the engine behind
-/// every replicated simulation experiment; `experiment` must therefore
-/// be `Fn + Sync` rather than the serial driver's `FnMut`.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::exec::ExecutionMode;
-/// use busnet_sim::replication::{run_replications_with, ReplicationPlan};
-///
-/// let plan = ReplicationPlan::new(8, 7);
-/// let work = |_i: u32, seed: u64| (seed % 1000) as f64;
-/// let serial = run_replications_with(&plan, ExecutionMode::Serial, work);
-/// let parallel = run_replications_with(&plan, ExecutionMode::Parallel, work);
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn run_replications_with(
-    plan: &ReplicationPlan,
-    mode: ExecutionMode,
-    experiment: impl Fn(u32, u64) -> f64 + Sync,
-) -> ReplicationSummary {
-    let jobs: Vec<(u32, u64)> =
-        plan.seeds().enumerate().map(|(i, seed)| (i as u32, seed)).collect();
-    let values = parallel_map(&jobs, mode, |_, &(i, seed)| experiment(i, seed));
-    ReplicationSummary::from_values(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_seeds_are_deterministic() {
-        let a: Vec<u64> = ReplicationPlan::new(5, 99).seeds().collect();
-        let b: Vec<u64> = ReplicationPlan::new(5, 99).seeds().collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_master_seed_changes_streams() {
-        let a: Vec<u64> = ReplicationPlan::new(5, 1).seeds().collect();
-        let b: Vec<u64> = ReplicationPlan::new(5, 2).seeds().collect();
-        assert_ne!(a, b);
-    }
+    use crate::exec::{parallel_map, ExecutionMode};
+    use crate::seeds::SeedSequence;
 
     #[test]
     fn summary_statistics() {
-        let s = ReplicationSummary::from_values(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.mean(), 2.5);
-        assert_eq!(s.replications(), 4);
-        assert!(s.half_width_95() > 0.0);
-        assert!(s.relative_error_95() > 0.0);
-    }
-
-    #[test]
-    fn constant_metric_has_zero_half_width() {
-        let plan = ReplicationPlan::new(6, 3);
-        let s = run_replications(&plan, |_, _| 2.0);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.half_width_95(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one replication")]
-    fn zero_replications_rejected() {
-        ReplicationPlan::new(0, 1);
+        // (values, mean, whether the interval has positive width)
+        let cases: [(Vec<f64>, f64, bool); 2] =
+            [(vec![1.0, 2.0, 3.0, 4.0], 2.5, true), (vec![2.0; 6], 2.0, false)];
+        for (values, mean, spread) in cases {
+            let len = values.len();
+            let s = ReplicationSummary::from_values(values);
+            assert_eq!(s.mean(), mean);
+            assert_eq!(s.replications(), len);
+            assert_eq!(s.half_width_95() > 0.0, spread, "{:?}", s.values());
+            assert_eq!(s.relative_error_95() > 0.0, spread, "{:?}", s.values());
+        }
     }
 
     #[test]
     fn parallel_replications_bit_identical_to_serial() {
         // A deliberately seed-sensitive metric: any reordering or
         // seed-stream mixup between modes changes the values.
-        let metric = |i: u32, seed: u64| {
-            ((seed ^ u64::from(i).wrapping_mul(0xD6E8_FEB8_6659_FD93)) % 100_000) as f64
+        let seeds = SeedSequence::new(0x1985);
+        let jobs: Vec<(u64, u64)> = (0..23).map(|i| (i, seeds.stream(i))).collect();
+        let summarize = |mode| {
+            ReplicationSummary::from_values(parallel_map(&jobs, mode, |_, &(i, seed)| {
+                ((seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93)) % 100_000) as f64
+            }))
         };
-        let plan = ReplicationPlan::new(23, 0x1985);
-        let serial = run_replications_with(&plan, ExecutionMode::Serial, metric);
+        let serial = summarize(ExecutionMode::Serial);
         for mode in [ExecutionMode::Parallel, ExecutionMode::Threads(3)] {
-            let parallel = run_replications_with(&plan, mode, metric);
+            let parallel = summarize(mode);
             assert_eq!(serial.values(), parallel.values(), "{mode:?}");
             assert_eq!(serial, parallel, "{mode:?}");
         }

@@ -9,8 +9,7 @@
 //!
 //! Run with: `cargo run --release --example extensions`
 
-use busnet::core::params::{Buffering, SystemParams};
-use busnet::core::sim::address::AddressPattern;
+use busnet::core::params::{Buffering, SystemParams, Workload};
 use busnet::core::sim::bus::{ArbitrationKind, BusSimBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,14 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== hot-spot sensitivity (hypothesis e) ==");
     for hot in [0.0, 0.2, 0.4, 0.6, 0.8] {
-        let report = if hot == 0.0 {
-            base().build().run()
-        } else {
-            base()
-                .addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: hot })
-                .build()
-                .run()
-        };
+        let report = base().workload(Workload::hot_spot(hot, 0)?).build().run();
         println!(
             "  hot fraction {hot:.1}: EBW = {:.3}, fairness = {:.4}",
             report.ebw(),
@@ -44,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let congested = SystemParams::new(8, 4, 8)?;
     for depth in [1u32, 2, 4, 8] {
         let report = BusSimBuilder::new(congested)
-            .buffering(Buffering::Buffered)
-            .buffer_depth(depth)
+            .buffering(Buffering::Depth(depth))
             .seed(11)
             .warmup_cycles(10_000)
             .measure_cycles(100_000)

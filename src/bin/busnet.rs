@@ -41,7 +41,7 @@ use busnet::core::scenario::{
     UnitStatus, ALL_EVALUATOR_KINDS,
 };
 use busnet::core::serve::{serve_connection, Broker, BrokerConfig};
-use busnet::core::sim::bus::{AdaptiveOutcome, AdaptivePlan, UnitBudget};
+use busnet::core::sim::bus::{AdaptiveOutcome, UnitBudget};
 use busnet::core::CoreError;
 use busnet::report::experiments::{Effort, ExperimentId, ALL_EXPERIMENTS};
 use busnet::sim::event::EngineKind;
@@ -348,21 +348,19 @@ fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     let engine = axes.engine;
     let scenario = axes.point(policy, buffering)?;
 
-    // The sweep evaluator's scenario → simulator mapping, so bursty
-    // runs get the same one-window-per-phase-dwell telemetry.
-    let budget = SimBudget { warmup, measure: cycles, engine, ..SimBudget::paper() };
+    // The sweep evaluator's scenario → simulator mapping and stopping
+    // rule, so bursty runs get the same one-window-per-phase-dwell
+    // telemetry and `--ci-width` the same batch plan.
+    let stopping = match ci_width {
+        None => Stopping::Fixed,
+        Some(ci_width) => Stopping::Adaptive { ci_width, max_reps },
+    };
+    let budget = SimBudget { warmup, measure: cycles, engine, stopping, ..SimBudget::paper() };
     let builder = BusSimEval::new(budget).builder_for(&scenario, seed);
     let mut adaptive = None;
-    let report = match ci_width {
+    let report = match budget.adaptive_plan(None) {
         None => builder.run(),
-        Some(ci_width) => {
-            let plan = AdaptivePlan {
-                ci_width,
-                batch_cycles: (cycles / 4).max(1),
-                min_batches: 8,
-                max_measure: cycles.saturating_mul(u64::from(max_reps.max(1))),
-                prior: None,
-            };
+        Some(plan) => {
             let AdaptiveOutcome { report, batches, half_width_95, converged } =
                 builder.run_adaptive(&plan);
             adaptive = Some((batches, half_width_95, converged));
@@ -546,34 +544,40 @@ fn parse_buffer_depth(spec: &str) -> Result<Buffering, String> {
     }
 }
 
+/// Most values one axis range may expand to. The length is computed
+/// from the bounds, so an oversized range is rejected before anything
+/// is allocated.
+const MAX_AXIS_VALUES: u64 = 1 << 16;
+
+/// Most points one sweep grid may expand to, checked before the grid
+/// is materialized.
+const MAX_SWEEP_POINTS: usize = 1 << 22;
+
 /// Parses an axis spec: `2,6,10`, `2..64` (inclusive), or `2..16:2`.
 fn parse_u32_spec(spec: &str) -> Result<Vec<u32>, String> {
-    let bad = |why: &str| Err(format!("bad axis spec `{spec}`: {why}"));
-    if let Some((range, step)) = spec.split_once(':') {
-        let step: u32 = match step.parse() {
-            Ok(0) | Err(_) => return bad("step must be a positive integer"),
-            Ok(s) => s,
-        };
-        let Ok(mut values) = parse_u32_spec(range) else {
-            return bad("expected LO..HI before the step");
-        };
-        if !range.contains("..") {
-            return bad("a step requires a LO..HI range");
-        }
-        let Some(&lo) = values.first() else {
-            return bad("range is empty");
-        };
-        values.retain(|v| (v - lo) % step == 0);
-        return Ok(values);
-    }
-    if let Some((lo, hi)) = spec.split_once("..") {
+    let bad = |why: String| Err(format!("bad axis spec `{spec}`: {why}"));
+    let (range, step) = match spec.split_once(':') {
+        None => (spec, 1),
+        Some((range, step)) => match step.parse::<u32>() {
+            Ok(0) | Err(_) => return bad("step must be a positive integer".to_owned()),
+            Ok(_) if !range.contains("..") => {
+                return bad("a step requires a LO..HI range".to_owned())
+            }
+            Ok(step) => (range, step),
+        },
+    };
+    if let Some((lo, hi)) = range.split_once("..") {
         let (Ok(lo), Ok(hi)) = (lo.parse::<u32>(), hi.parse::<u32>()) else {
-            return bad("expected integers around `..`");
+            return bad("expected integers around `..`".to_owned());
         };
         if lo > hi {
-            return bad("range is empty");
+            return bad("range is empty".to_owned());
         }
-        return Ok((lo..=hi).collect());
+        let len = u64::from(hi - lo) / u64::from(step) + 1;
+        if len > MAX_AXIS_VALUES {
+            return bad(format!("expands to {len} values (at most {MAX_AXIS_VALUES})"));
+        }
+        return Ok((lo..=hi).step_by(step as usize).collect());
     }
     spec.split(',')
         .map(|v| v.parse().map_err(|_| format!("bad axis spec `{spec}`: `{v}` is not an integer")))
@@ -863,6 +867,11 @@ fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
         .arbitrations(arbitrations)
         .workloads(workloads)
         .buses_values(buses);
+    if grid.len() > MAX_SWEEP_POINTS {
+        return Err(format!(
+            "sweep grid too large: more than {MAX_SWEEP_POINTS} points (narrow an axis)"
+        ));
+    }
     let scenarios = grid.scenarios().map_err(|e| format!("invalid sweep point: {e}"))?;
     let stopping = match ci_width_spec.map(parse_ci_width).transpose()? {
         None => Stopping::Fixed,

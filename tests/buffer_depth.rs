@@ -6,7 +6,6 @@
 use busnet::core::params::{Buffering, SystemParams};
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, SimBudget};
 use busnet::core::sim::bus::{BusSimBuilder, EngineKind, SimReport};
-use busnet::core::sim::runner::EbwExperiment;
 use busnet::report::experiments::{buffering_depths, Effort, BUFFERING_DEPTHS};
 use proptest::prelude::*;
 
@@ -178,20 +177,19 @@ fn occupancy_telemetry_agrees_across_engines() {
 
 #[test]
 fn replication_driver_reaches_the_depth_axis() {
-    // The runner-level builder (the satellite bugfix) drives the axis
-    // through the Buffering enum — no internal-only plumbing left.
+    // The replicated evaluator drives the axis through the Buffering
+    // enum — no internal-only plumbing left.
     let params = SystemParams::new(8, 4, 8).unwrap();
+    let budget =
+        SimBudget { replications: 3, warmup: 2_000, measure: 30_000, ..SimBudget::paper() };
     let at = |buffering| {
-        EbwExperiment::new(params)
-            .buffering(buffering)
-            .replications(3)
-            .warmup_cycles(2_000)
-            .measure_cycles(30_000)
-            .run()
+        let scenario = Scenario::new(params).with_buffering(buffering);
+        BusSimEval::new(budget).evaluate(&scenario).unwrap()
     };
     let shallow = at(Buffering::Buffered);
     let deep = at(Buffering::Depth(8));
-    assert!(deep.ebw >= shallow.ebw - (shallow.half_width_95 + deep.half_width_95 + 0.02));
+    let slack = shallow.half_width_95 + deep.half_width_95 + 0.02;
+    assert!(deep.ebw() >= shallow.ebw() - slack);
 }
 
 #[test]

@@ -1,18 +1,14 @@
 //! The §6 buffering study: gains, saturation, and the crossbar limit.
 
 use busnet::core::analytic::crossbar::crossbar_ebw_exact;
-use busnet::core::params::{Buffering, BusPolicy, SystemParams};
-use busnet::core::sim::runner::EbwExperiment;
+use busnet::core::params::{Buffering, SystemParams};
+use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, SimBudget};
 
 fn sim(params: SystemParams, buffering: Buffering) -> f64 {
-    EbwExperiment::new(params)
-        .policy(BusPolicy::ProcessorPriority)
-        .buffering(buffering)
-        .replications(3)
-        .warmup_cycles(4_000)
-        .measure_cycles(40_000)
-        .run()
-        .ebw
+    let budget =
+        SimBudget { replications: 3, warmup: 4_000, measure: 40_000, ..SimBudget::paper() };
+    let scenario = Scenario::new(params).with_buffering(buffering);
+    BusSimEval::new(budget).evaluate(&scenario).unwrap().ebw()
 }
 
 #[test]

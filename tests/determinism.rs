@@ -2,9 +2,9 @@
 //! every stochastic component.
 
 use busnet::core::params::{Buffering, BusPolicy, SystemParams};
+use busnet::core::scenario::{BusSimEval, Evaluation, Evaluator, Scenario, SimBudget};
 use busnet::core::sim::bus::BusSimBuilder;
 use busnet::core::sim::crossbar::CrossbarSim;
-use busnet::core::sim::runner::EbwExperiment;
 use busnet::sim::seeds::SeedSequence;
 
 #[test]
@@ -40,17 +40,24 @@ fn crossbar_sim_reproducible() {
     assert_ne!(run(5), run(6));
 }
 
+/// A replicated estimate of the paper's default scenario at `(n, m, r)`.
+fn replicated(n: u32, m: u32, r: u32, budget: SimBudget) -> Evaluation {
+    let scenario = Scenario::new(SystemParams::new(n, m, r).unwrap());
+    BusSimEval::new(budget).evaluate(&scenario).unwrap()
+}
+
 #[test]
 fn replicated_experiments_reproducible() {
-    let run = || {
-        EbwExperiment::new(SystemParams::new(4, 8, 6).unwrap())
-            .replications(3)
-            .warmup_cycles(500)
-            .measure_cycles(5_000)
-            .master_seed(99)
-            .run()
+    let budget = |master_seed| SimBudget {
+        replications: 3,
+        warmup: 500,
+        measure: 5_000,
+        master_seed,
+        ..SimBudget::paper()
     };
-    assert_eq!(run(), run());
+    let a = replicated(4, 8, 6, budget(99));
+    assert_eq!(a, replicated(4, 8, 6, budget(99)));
+    assert_ne!(a.ebw(), replicated(4, 8, 6, budget(100)).ebw());
 }
 
 #[test]
@@ -65,10 +72,8 @@ fn seed_streams_are_stable_across_calls() {
 fn different_replications_use_different_seeds() {
     // Same plan, but each replication must see distinct randomness:
     // the replication values should not all coincide.
-    let est = EbwExperiment::new(SystemParams::new(8, 8, 8).unwrap())
-        .replications(4)
-        .warmup_cycles(200)
-        .measure_cycles(2_000)
-        .run();
+    let budget = SimBudget { replications: 4, warmup: 200, measure: 2_000, ..SimBudget::paper() };
+    let est = replicated(8, 8, 8, budget);
+    assert_eq!(est.replications, 4);
     assert!(est.half_width_95 > 0.0, "replications look identical");
 }

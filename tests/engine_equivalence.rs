@@ -15,7 +15,7 @@ use busnet::core::params::{ArbitrationKind, Buffering, SystemParams, Workload};
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget};
 use busnet::core::sim::bus::{BusSimBuilder, EngineKind};
 use busnet::sim::exec::ExecutionMode;
-use busnet::sim::replication::ReplicationPlan;
+use busnet::sim::seeds::SeedSequence;
 use busnet::sim::stats::RunningStats;
 
 fn budget(engine: EngineKind) -> SimBudget {
@@ -94,10 +94,10 @@ fn engines_produce_overlapping_ebw_intervals() {
 /// agree under Welch's two-sample 95% interval.
 #[test]
 fn engines_produce_overlapping_latency_intervals() {
-    let plan = ReplicationPlan::new(5, master_seed());
+    let seeds = SeedSequence::new(master_seed());
     let mean_round_trip = |engine: EngineKind, buffering: Buffering| {
         let mut stats = RunningStats::new();
-        for seed in plan.seeds() {
+        for seed in (0..5).map(|i| seeds.stream(i)) {
             let report = BusSimBuilder::new(SystemParams::new(8, 8, 8).unwrap())
                 .buffering(buffering)
                 .engine(engine)

@@ -1,10 +1,10 @@
 //! Integration tests for the beyond-the-paper extensions: multiplexed
-//! channels, deeper buffers, hot-spot addressing, round-robin
-//! arbitration, and the waiting-time distribution machinery.
+//! channels, deeper buffers, hot-spot and weighted workloads,
+//! round-robin arbitration, and the waiting-time distribution
+//! machinery.
 
 use busnet::core::analytic::crossbar::crossbar_ebw_exact;
-use busnet::core::params::{Buffering, SystemParams};
-use busnet::core::sim::address::AddressPattern;
+use busnet::core::params::{Buffering, SystemParams, Workload};
 use busnet::core::sim::bus::{ArbitrationKind, BusSimBuilder};
 
 fn base(n: u32, m: u32, r: u32) -> BusSimBuilder {
@@ -43,7 +43,7 @@ fn channel_scaling_saturates_at_memory_bound() {
 fn deeper_buffers_monotone_not_worse() {
     let mut prev = 0.0;
     for depth in [1u32, 2, 4] {
-        let measured = base(8, 4, 8).buffer_depth(depth).build().run().ebw();
+        let measured = base(8, 4, 8).buffering(Buffering::Depth(depth)).build().run().ebw();
         assert!(measured >= prev - 0.05, "depth {depth}: {measured:.3} after {prev:.3}");
         prev = measured;
     }
@@ -53,13 +53,8 @@ fn deeper_buffers_monotone_not_worse() {
 fn hot_spot_monotonically_degrades_ebw() {
     let mut prev = f64::INFINITY;
     for hot in [0.0, 0.3, 0.6, 0.9] {
-        let builder = if hot == 0.0 {
-            base(8, 8, 8)
-        } else {
-            base(8, 8, 8)
-                .addressing(AddressPattern::HotSpot { hot_modules: 1, hot_probability: hot })
-        };
-        let measured = builder.build().run().ebw();
+        let workload = Workload::hot_spot(hot, 0).unwrap();
+        let measured = base(8, 8, 8).workload(workload).build().run().ebw();
         assert!(measured <= prev + 0.05, "hot={hot}: {measured:.3} after {prev:.3}");
         prev = measured;
     }
@@ -70,13 +65,11 @@ fn hot_spot_monotonically_degrades_ebw() {
 
 #[test]
 fn hot_spot_with_all_modules_hot_is_uniform() {
-    // Degenerate hot set = every module → statistically uniform.
+    // Degenerate hot set = every module equally weighted →
+    // statistically uniform.
     let uniform = base(8, 8, 8).build().run().ebw();
-    let degenerate = base(8, 8, 8)
-        .addressing(AddressPattern::HotSpot { hot_modules: 8, hot_probability: 0.7 })
-        .build()
-        .run()
-        .ebw();
+    let degenerate =
+        base(8, 8, 8).workload(Workload::weighted(vec![1.0; 8]).unwrap()).build().run().ebw();
     assert!((uniform - degenerate).abs() / uniform < 0.02, "{uniform:.3} vs {degenerate:.3}");
 }
 
@@ -101,36 +94,37 @@ fn wait_histogram_consistent_with_mean() {
 
 #[test]
 fn buffer_depth_is_validated_against_the_buffering_scheme() {
-    // The seed silently ignored a buffer_depth override on an
-    // unbuffered simulator; it is now rejected at build time instead.
-    let builder = |buffering| {
-        BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap()).buffering(buffering).seed(3)
-    };
-    assert!(builder(Buffering::Unbuffered).buffer_depth(8).resolved_depth().is_err());
-    assert!(builder(Buffering::Infinite).buffer_depth(8).resolved_depth().is_err());
-    assert!(builder(Buffering::Buffered).buffer_depth(0).resolved_depth().is_err());
-    assert!(builder(Buffering::Depth(4)).buffer_depth(3).resolved_depth().is_err());
-    // Consistent combinations resolve to the agreed depth.
-    assert_eq!(builder(Buffering::Depth(4)).buffer_depth(4).resolved_depth().unwrap(), 4);
-    assert_eq!(builder(Buffering::Depth(0)).buffer_depth(0).resolved_depth().unwrap(), 0);
-    assert_eq!(builder(Buffering::Buffered).buffer_depth(8).resolved_depth().unwrap(), 8);
-    assert_eq!(builder(Buffering::Unbuffered).resolved_depth().unwrap(), 0);
-    assert_eq!(builder(Buffering::Infinite).resolved_depth().unwrap(), 6); // n = 6
+    // scheme → resolved FIFO depth (None: rejected), at n = 6.
+    let table = [
+        (Buffering::Unbuffered, Some(0)),
+        (Buffering::Buffered, Some(1)),
+        (Buffering::Depth(0), Some(0)),
+        (Buffering::Depth(3), Some(3)),
+        (Buffering::Depth(4096), Some(4096)),
+        (Buffering::Infinite, Some(6)),
+        (Buffering::Depth(4097), None),
+    ];
+    for (buffering, depth) in table {
+        let builder = BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap()).buffering(buffering);
+        assert_eq!(builder.resolved_depth().ok(), depth, "{buffering:?}");
+    }
 }
 
 #[test]
-#[should_panic(expected = "inconsistent buffering configuration")]
+#[should_panic(expected = "invalid buffering scheme")]
 fn inconsistent_buffer_depth_rejected_at_build() {
-    let _ = BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap()).buffer_depth(8).build();
+    let _ = BusSimBuilder::new(SystemParams::new(6, 6, 6).unwrap())
+        .buffering(Buffering::Depth(4097))
+        .build();
 }
 
 #[test]
 fn invariants_hold_with_all_extensions_combined() {
     let mut sim = BusSimBuilder::new(SystemParams::new(7, 5, 6).unwrap())
-        .buffering(Buffering::Buffered)
-        .buffer_depth(3)
+        .buffering(Buffering::Depth(3))
         .channels(3)
-        .addressing(AddressPattern::HotSpot { hot_modules: 2, hot_probability: 0.5 })
+        // Two hot modules drawing half the references between them.
+        .workload(Workload::weighted([0.35, 0.35, 0.1, 0.1, 0.1]).unwrap())
         .arbitration(ArbitrationKind::RoundRobin)
         .seed(23)
         .build();

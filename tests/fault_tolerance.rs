@@ -336,8 +336,9 @@ fn cli_chaos_sweep_survives_and_matches() {
     assert!(survivors > 0, "some rows must survive at rate 0.45 with retries");
 }
 
-/// No hostile CLI input may reach a panic: every parse error must come
-/// back as a clean diagnostic (satellite: typed errors over asserts).
+/// No hostile CLI input may reach a panic or an abort: every parse
+/// error must come back as a clean diagnostic with exit code 1, and an
+/// oversized axis range or sweep grid is rejected before it allocates.
 #[test]
 fn hostile_cli_inputs_never_panic() {
     let cases: &[&[&str]] = &[
@@ -363,13 +364,19 @@ fn hostile_cli_inputs_never_panic() {
         &["sweep", "--ci-width", "-1"],
         &["sweep", "--screen", "crystal-ball"],
         &["sweep", "--buses", "1..0"],
+        &["sweep", "--n", "1..100000", "--m", "1..100000", "--r", "8", "--evaluator", "pfqn"],
+        &["sweep", "--n", "1..4000000000"],
+        &["sweep", "--n", "1..4096", "--m", "1..4096", "--evaluator", "pfqn"],
         &["run", "no-such-experiment"],
     ];
     for case in cases {
         let out = busnet(case);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "hostile input unexpectedly succeeded: busnet {case:?}");
+        // Exit code 1 is a reported error; an abort (e.g. a failed
+        // allocation) or a panic exits otherwise.
+        assert_eq!(out.status.code(), Some(1), "busnet {case:?} did not fail cleanly:\n{stderr}");
         assert!(!stderr.contains("panicked"), "busnet {case:?} panicked:\n{stderr}");
+        assert!(!stderr.trim().is_empty(), "busnet {case:?} failed without a message");
     }
 }
 

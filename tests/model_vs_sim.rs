@@ -8,17 +8,13 @@ use common::stats::assert_rel_within;
 use busnet::core::analytic::exact_chain::ExactChain;
 use busnet::core::analytic::reduced::ReducedChain;
 use busnet::core::params::{Buffering, BusPolicy, SystemParams};
-use busnet::core::sim::runner::EbwExperiment;
+use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, SimBudget};
 
 fn sim(params: SystemParams, policy: BusPolicy, buffering: Buffering) -> f64 {
-    EbwExperiment::new(params)
-        .policy(policy)
-        .buffering(buffering)
-        .replications(3)
-        .warmup_cycles(4_000)
-        .measure_cycles(40_000)
-        .run()
-        .ebw
+    let budget =
+        SimBudget { replications: 3, warmup: 4_000, measure: 40_000, ..SimBudget::paper() };
+    let scenario = Scenario::new(params).with_policy(policy).with_buffering(buffering);
+    BusSimEval::new(budget).evaluate(&scenario).unwrap().ebw()
 }
 
 #[test]
