@@ -13,7 +13,10 @@
 //!   comparison is a one-liner;
 //! * a [`ScenarioGrid`] expands cartesian parameter sweeps into
 //!   scenario lists, and [`run_sweep`] fans them out across any set of
-//!   evaluators with per-point progress, serially or in parallel.
+//!   evaluators with per-point progress, serially or in parallel —
+//!   through one supervised plan → execute → finalize pipeline
+//!   (`scenario/sweep.rs`) whose planner settles every pair's domain
+//!   before any work is scheduled.
 //!
 //! # Example
 //!
@@ -31,15 +34,9 @@
 //! # Ok::<(), busnet_core::CoreError>(())
 //! ```
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use busnet_sim::counters::WindowSeries;
 use busnet_sim::event::EngineKind;
-use busnet_sim::exec::{catch_panic, parallel_consume, parallel_map, ExecutionMode};
-use busnet_sim::fault::FaultPlan;
+use busnet_sim::exec::{parallel_map, ExecutionMode};
 use busnet_sim::replication::ReplicationSummary;
 use busnet_sim::seeds::SeedSequence;
 use busnet_sim::stats::jain_fairness_index;
@@ -54,13 +51,20 @@ use crate::analytic::pfqn::{
     pfqn_ebw_workload_group,
 };
 use crate::analytic::reduced::ReducedChain;
-use crate::cache::{f64_hex, workload_fingerprint, EvalCache};
+use crate::cache::{f64_hex, workload_fingerprint};
 use crate::error::CoreError;
 use crate::metrics::Metrics;
 use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use crate::sim::bus::{AdaptivePlan, BusSimBuilder, PriorSeed, SimReport, UnitBudget};
 use crate::sim::crossbar::CrossbarSim;
 use crate::sim::service::ServiceTime;
+
+mod sweep;
+
+pub use sweep::{
+    evaluator_calls, run_sweep, run_sweep_with, OnFailure, ScreenPlan, Supervisor, SweepOptions,
+    SweepRecord, UnitStatus,
+};
 
 /// One operating point of the system under study: parameters plus the
 /// mode knobs every evaluation vehicle understands.
@@ -540,23 +544,10 @@ fn analytic_evaluation(evaluator: &'static str, scenario: &Scenario, ebw: f64) -
 /// module for one full crossbar cycle — so utilization is reported as
 /// concurrency (`EBW / min(n, m)`) and module occupancy as `EBW / m`.
 fn crossbar_evaluation(evaluator: &'static str, scenario: &Scenario, ebw: f64) -> Evaluation {
-    let params = scenario.params;
-    let mut metrics = Metrics::from_ebw(params, ebw);
-    metrics.bus_utilization = ebw / f64::from(params.min_nm());
-    metrics.memory_utilization = ebw / f64::from(params.m());
-    Evaluation {
-        evaluator,
-        scenario: scenario.clone(),
-        metrics,
-        half_width_95: 0.0,
-        replications: 1,
-        per_processor_ebw: None,
-        occupancy: None,
-        module_references: None,
-        hot_module: None,
-        simulated_events: 0,
-        windows: None,
-    }
+    let mut evaluation = analytic_evaluation(evaluator, scenario, ebw);
+    evaluation.metrics.bus_utilization = ebw / f64::from(scenario.params.min_nm());
+    evaluation.metrics.memory_utilization = ebw / f64::from(scenario.params.m());
+    evaluation
 }
 
 /// Shared domain guard of the state-space analytic vehicles: a single
@@ -1945,838 +1936,6 @@ fn dedup_axis<T: PartialEq + Clone>(values: &[T]) -> Vec<T> {
         }
     }
     out
-}
-
-/// How a sweep pair's result was produced, robustness-wise: the
-/// supervision outcome carried on every [`SweepRecord`] and surfaced as
-/// the sweep's `status` column.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum UnitStatus {
-    /// The evaluator's own result (fresh, cached, screened, or alias).
-    #[default]
-    Ok,
-    /// Retries were exhausted and the record carries the point's
-    /// validated fluid/analytic fallback instead of the evaluator's
-    /// result (`--on-failure degrade`).
-    Degraded,
-    /// Retries were exhausted and no fallback was taken; the record's
-    /// `result` is the final classified error.
-    Failed,
-}
-
-impl UnitStatus {
-    /// Stable column value (`ok`, `degraded`, `failed`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            UnitStatus::Ok => "ok",
-            UnitStatus::Degraded => "degraded",
-            UnitStatus::Failed => "failed",
-        }
-    }
-}
-
-/// What a supervised sweep does with a pair whose retries are
-/// exhausted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OnFailure {
-    /// Cancel the remaining work units and drain the sweep; the failed
-    /// and cancelled pairs surface as [`UnitStatus::Failed`] records.
-    Abort,
-    /// Stream a structured [`UnitStatus::Failed`] record and keep
-    /// going.
-    #[default]
-    Skip,
-    /// Fall back to the point's fluid/analytic anchor (the PR 6
-    /// screening machinery) and stream it as [`UnitStatus::Degraded`];
-    /// points no model covers fall through to `Skip` behavior.
-    Degrade,
-}
-
-impl OnFailure {
-    /// Stable flag value (`abort`, `skip`, `degrade`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            OnFailure::Abort => "abort",
-            OnFailure::Skip => "skip",
-            OnFailure::Degrade => "degrade",
-        }
-    }
-
-    /// Parses a `--on-failure` flag value.
-    pub fn from_name(name: &str) -> Option<OnFailure> {
-        match name {
-            "abort" => Some(OnFailure::Abort),
-            "skip" => Some(OnFailure::Skip),
-            "degrade" => Some(OnFailure::Degrade),
-            _ => None,
-        }
-    }
-}
-
-/// The sweep supervision policy: per-unit isolation (`catch_unwind`),
-/// a deterministic seeded retry schedule with capped exponential
-/// backoff, an optional per-unit budget watchdog, and the
-/// exhausted-retries fallback ([`OnFailure`]).
-///
-/// Retries re-run the **same** pure computation (replication seeds
-/// derive only from `(master seed, unit)`), so a unit that succeeds on
-/// any attempt is bit-identical to a fault-free run; the supervisor's
-/// own seed drives only backoff jitter, never results.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Supervisor {
-    /// Retries after the first attempt (so a unit runs at most
-    /// `max_retries + 1` times).
-    pub max_retries: u32,
-    /// First-retry backoff in milliseconds (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Seed of the deterministic backoff-jitter streams (derived per
-    /// `(seed, unit, attempt)` so reruns sleep identically).
-    pub retry_seed: u64,
-    /// What to do with a pair whose retries are exhausted.
-    pub on_failure: OnFailure,
-    /// Optional per-unit event / wall-clock ceilings.
-    pub unit_budget: Option<UnitBudget>,
-    /// Relative EBW agreement tolerance for preferring the fluid
-    /// fallback over its analytic anchor under
-    /// [`OnFailure::Degrade`] (the screening rule's tolerance).
-    pub degrade_tolerance: f64,
-}
-
-impl Default for Supervisor {
-    fn default() -> Self {
-        Supervisor {
-            max_retries: 2,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 50,
-            retry_seed: 0x5EED_FA17,
-            on_failure: OnFailure::Skip,
-            unit_budget: None,
-            degrade_tolerance: 0.05,
-        }
-    }
-}
-
-/// One `(scenario, evaluator)` outcome of a sweep.
-#[derive(Clone, Debug)]
-pub struct SweepRecord {
-    /// The evaluated scenario.
-    pub scenario: Scenario,
-    /// The evaluator's stable name.
-    pub evaluator: &'static str,
-    /// Whether the fluid screening pre-pass replaced this pair's
-    /// simulation with the (validated) fluid prediction. Screened
-    /// records carry the fluid evaluation and zero simulated events.
-    pub screened: bool,
-    /// Whether the result was replayed (memo-cache hit or intra-sweep
-    /// duplicate) instead of computed by the evaluator this run.
-    /// Bookkeeping only — cached results are bit-identical to fresh
-    /// ones and this flag is not part of the CSV/JSON row schema.
-    pub cached: bool,
-    /// Supervision outcome (always [`UnitStatus::Ok`] on the bare,
-    /// unsupervised path).
-    pub status: UnitStatus,
-    /// Evaluator attempts spent on this pair **this run**: the maximum
-    /// over its work units, 1 when nothing retried. Replayed records
-    /// (cache hits, screened points, intra-sweep aliases) report 1, so
-    /// warm re-runs stay byte-identical to cold ones.
-    pub attempts: u32,
-    /// The evaluation, or why this pair is out of domain / failed.
-    pub result: Result<Evaluation, CoreError>,
-}
-
-/// The opt-in fluid screening pre-pass of [`run_sweep_with`]
-/// ([`SweepOptions::screen`], `busnet sweep --screen fluid`).
-///
-/// Every grid point is first solved with the fluid mean-field model
-/// (microseconds, O(1) in `n`). A *screenable* pair (see
-/// [`Evaluator::fluid_screenable`]) is then **skipped** — its record
-/// carries the fluid evaluation, flagged `screened = true` — when the
-/// fluid prediction is validated within `tolerance` by a
-/// deterministic analytic anchor (§3.1.1 exact chain, §4 reduced
-/// chain, or the §6 product-form model) at the same point, or at the
-/// nearest anchored neighbor sharing every mode knob. Screenable
-/// pairs that still simulate are **seeded**: the fluid prediction
-/// becomes a [`PriorSeed`] for the adaptive stopping rule, which may
-/// then accept early once the measurement confirms it (the CI-width
-/// target is never relaxed).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScreenPlan {
-    /// Relative EBW agreement tolerance between the fluid prediction
-    /// and its analytic anchor, and the relative trust band handed to
-    /// the adaptive stopping rule as a prior.
-    pub tolerance: f64,
-    /// Fluid integrator controls.
-    pub options: FluidOptions,
-}
-
-impl Default for ScreenPlan {
-    fn default() -> Self {
-        ScreenPlan { tolerance: 0.05, options: FluidOptions::default() }
-    }
-}
-
-/// Per-scenario outcome of the screening pre-pass.
-struct ScreenState {
-    /// Converged fluid EBW prediction per scenario.
-    fluid: Vec<Option<f64>>,
-    /// Whether the fluid prediction is trusted at each scenario.
-    screened: Vec<bool>,
-}
-
-/// Whether two scenarios differ only in system size `(n, m, r, p)` —
-/// the neighbor relation of the screening rule.
-fn same_knobs(a: &Scenario, b: &Scenario) -> bool {
-    a.policy == b.policy
-        && a.buffering == b.buffering
-        && a.arbitration == b.arbitration
-        && a.workload == b.workload
-        && a.memory_service == b.memory_service
-        && a.buses == b.buses
-}
-
-/// The first deterministic analytic vehicle covering `s`, evaluated.
-fn anchor_ebw(s: &Scenario) -> Option<f64> {
-    let anchors: [&dyn Evaluator; 3] =
-        [&ExactChainEval, &ReducedChainEval, &PfqnEval { algorithm: PfqnAlgorithm::Mva }];
-    anchors.iter().find(|a| a.supports(s)).and_then(|a| a.evaluate(s).ok()).map(|e| e.ebw())
-}
-
-/// The degradation chain of `--on-failure degrade`: the same validated
-/// fluid/analytic machinery the screening pre-pass trusts, applied to a
-/// single failed point. Prefers the fluid prediction when an analytic
-/// anchor validates it within `tolerance` (the screening rule), falls
-/// back to the anchor itself when they disagree, and to the converged
-/// fluid solution alone when no anchor covers the point. `None` when no
-/// model covers the point at all.
-fn degraded_evaluation(
-    scenario: &Scenario,
-    evaluator: &'static str,
-    tolerance: f64,
-) -> Option<Evaluation> {
-    let anchors: [&dyn Evaluator; 3] =
-        [&ExactChainEval, &ReducedChainEval, &PfqnEval { algorithm: PfqnAlgorithm::Mva }];
-    let anchor =
-        anchors.iter().find(|a| a.supports(scenario)).and_then(|a| a.evaluate(scenario).ok());
-    let fluid_eval = FluidEval::new(FluidOptions::default());
-    let fluid = fluid_eval
-        .solve(scenario)
-        .ok()
-        .filter(|sol| sol.converged)
-        .and_then(|_| fluid_eval.evaluate(scenario).ok());
-    let chosen = match (fluid, anchor) {
-        (Some(f), Some(a)) => {
-            let validated =
-                a.ebw().abs() > 1e-9 && ((f.ebw() - a.ebw()) / a.ebw()).abs() <= tolerance;
-            if validated {
-                Some(f)
-            } else {
-                Some(a)
-            }
-        }
-        (f, a) => f.or(a),
-    };
-    chosen.map(|mut ev| {
-        ev.evaluator = evaluator;
-        ev
-    })
-}
-
-/// Engine work units behind one [`EvalUnit`] — the post-hoc metric the
-/// supervisor checks against [`UnitBudget::max_events`] for evaluators
-/// that do not thread the watchdog themselves.
-fn unit_events(unit: &EvalUnit) -> u64 {
-    match unit {
-        EvalUnit::Replication(r) => r.events,
-        EvalUnit::Whole(e) => e.simulated_events,
-    }
-}
-
-/// Whether a failure may be cured by re-running the same computation.
-/// Panics and wall-clock overruns are (a fault plan or a loaded machine
-/// is transient); everything else — domain errors, invalid parameters,
-/// deterministic model failures, event-count overruns (the same events
-/// recur on every attempt) — is not.
-fn retryable(err: &CoreError) -> bool {
-    matches!(err, CoreError::Panicked { .. } | CoreError::BudgetExceeded { what: "millis", .. })
-}
-
-/// Whether a failure should fall through to the degradation chain
-/// under [`OnFailure::Degrade`]. Out-of-domain and invalid-parameter
-/// errors stay errors — degrading them would mask a caller bug — and
-/// cancellations stay cancellations.
-fn degradable(err: &CoreError) -> bool {
-    matches!(
-        err,
-        CoreError::Panicked { .. }
-            | CoreError::BudgetExceeded { .. }
-            | CoreError::Markov(_)
-            | CoreError::Queueing(_)
-    )
-}
-
-/// Runs one work unit under the supervisor: `catch_unwind` isolation,
-/// typed failure classification, deterministic seeded retries with
-/// capped exponential backoff, and post-hoc budget enforcement.
-/// Returns the final result plus the attempts spent.
-///
-/// `job_key` identifies the unit deterministically (its position in the
-/// sweep's job list) and keys both the backoff-jitter stream and the
-/// fault plan's injection decisions, so chaos runs reproduce exactly.
-#[allow(clippy::too_many_arguments)]
-fn supervise_unit(
-    evaluator: &dyn Evaluator,
-    scenario: &Scenario,
-    unit: u32,
-    job_key: u64,
-    prior: Option<PriorSeed>,
-    sup: &Supervisor,
-    faults: Option<&FaultPlan>,
-    cancelled: &AtomicBool,
-) -> (Result<EvalUnit, CoreError>, u32) {
-    // Out-of-domain pairs keep their bare semantics (a typed
-    // `UnsupportedScenario`, no injection): a fault must never mask —
-    // or worse, "degrade" a value for — a pair the evaluator would
-    // have declined outright.
-    if !evaluator.supports(scenario) {
-        return (evaluator.evaluate_unit_primed(scenario, unit, prior), 1);
-    }
-    let budget = sup.unit_budget.filter(|b| !b.is_unlimited());
-    let jitter = SeedSequence::new(sup.retry_seed).child(job_key);
-    let mut last_err: Option<CoreError> = None;
-    for attempt in 0..=sup.max_retries {
-        if sup.on_failure == OnFailure::Abort && cancelled.load(Ordering::Relaxed) {
-            let cause =
-                last_err.map_or_else(|| "a sibling work unit failed".to_owned(), |e| e.to_string());
-            return (Err(CoreError::Aborted { cause }), attempt.max(1));
-        }
-        if attempt > 0 {
-            let backoff = sup
-                .backoff_base_ms
-                .saturating_mul(1u64 << u64::from(attempt - 1).min(16))
-                .min(sup.backoff_cap_ms);
-            let extra =
-                if backoff > 0 { jitter.stream(u64::from(attempt)) % (backoff / 2 + 1) } else { 0 };
-            std::thread::sleep(std::time::Duration::from_millis(backoff + extra));
-        }
-        let start = std::time::Instant::now();
-        let attempt_result = catch_panic(|| {
-            if let Some(plan) = faults {
-                plan.inject_unit(job_key, u64::from(attempt));
-            }
-            evaluator.evaluate_unit_supervised(scenario, unit, prior, budget.as_ref())
-        })
-        .unwrap_or_else(|message| Err(CoreError::Panicked { message }))
-        .and_then(|value| {
-            // Post-hoc enforcement: covers evaluators that ignore the
-            // threaded watchdog, and charges injected delays plus
-            // backoff-free overhead against the wall clock.
-            if let Some(b) = &budget {
-                b.check(unit_events(&value), &start)?;
-            }
-            Ok(value)
-        });
-        match attempt_result {
-            Ok(value) => return (Ok(value), attempt + 1),
-            Err(err) if retryable(&err) => last_err = Some(err),
-            Err(err) => return (Err(err), attempt + 1),
-        }
-    }
-    let err = last_err.expect("retries exhausted without a recorded failure");
-    if sup.on_failure == OnFailure::Abort {
-        cancelled.store(true, Ordering::Relaxed);
-    }
-    (Err(err), sup.max_retries + 1)
-}
-
-/// Runs the fluid model and the analytic anchors over every scenario
-/// and decides which points the screening pass may skip.
-fn screen_pass(scenarios: &[Scenario], plan: &ScreenPlan) -> ScreenState {
-    let fluid_eval = FluidEval::new(plan.options);
-    let fluid: Vec<Option<f64>> = scenarios
-        .iter()
-        .map(|s| fluid_eval.solve(s).ok().filter(|sol| sol.converged).map(|sol| sol.ebw))
-        .collect();
-    // Same-point verdict: does the fluid prediction agree with an
-    // analytic anchor here? None = no anchor covers this point.
-    let own: Vec<Option<bool>> = scenarios
-        .iter()
-        .zip(&fluid)
-        .map(|(s, f)| match (f, anchor_ebw(s)) {
-            (Some(f), Some(a)) if a.abs() > 1e-9 => Some(((f - a) / a).abs() <= plan.tolerance),
-            _ => None,
-        })
-        .collect();
-    let screened = (0..scenarios.len())
-        .map(|i| {
-            if fluid[i].is_none() {
-                return false;
-            }
-            if let Some(ok) = own[i] {
-                return ok;
-            }
-            // Neighbor rule: trust the fluid model here iff it is
-            // validated at the nearest anchored point that shares
-            // every mode knob (distance in log-size space).
-            let si = &scenarios[i];
-            let mut best: Option<(f64, bool)> = None;
-            for (j, sj) in scenarios.iter().enumerate() {
-                let Some(ok) = own[j] else { continue };
-                if !same_knobs(si, sj) {
-                    continue;
-                }
-                let d = (f64::from(si.params.n()).ln() - f64::from(sj.params.n()).ln()).abs()
-                    + (f64::from(si.params.m()).ln() - f64::from(sj.params.m()).ln()).abs()
-                    + (f64::from(si.params.r()).ln() - f64::from(sj.params.r()).ln()).abs()
-                    + (si.params.p() - sj.params.p()).abs();
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, ok));
-                }
-            }
-            best.is_some_and(|(_, ok)| ok)
-        })
-        .collect();
-    ScreenState { fluid, screened }
-}
-
-/// Fans `scenarios × evaluators` out under `mode` and returns all
-/// records in deterministic scenario-major order.
-///
-/// The schedulable grain is one **work unit** — a single replication of
-/// one `(scenario, evaluator)` pair ([`Evaluator::work_units`]) — so a
-/// sweep keeps every worker busy even when the grid has fewer points
-/// than the machine has cores, and the work-stealing pool rebalances
-/// when one saturated point simulates 10× longer than an idle one.
-/// Units are recombined per pair in unit order on the calling thread,
-/// so results are bit-identical to a serial sweep.
-///
-/// `on_record(done, total, record)` streams each pair's record **in
-/// scenario-major order** as soon as it (and every record before it) is
-/// available, so callers can render progressively even under parallel
-/// execution. Out-of-domain pairs surface as
-/// `Err(UnsupportedScenario)` records rather than aborting the sweep.
-///
-/// Under `ExecutionMode::Parallel`, pair the sweep with serial-mode
-/// simulation evaluators (e.g. `SimBudget::with_mode(Serial)`) so the
-/// two levels don't oversubscribe the machine.
-pub fn run_sweep(
-    scenarios: &[Scenario],
-    evaluators: &[&dyn Evaluator],
-    mode: ExecutionMode,
-    on_record: impl FnMut(usize, usize, &SweepRecord),
-) -> Vec<SweepRecord> {
-    run_sweep_with(scenarios, evaluators, &SweepOptions::new(mode), on_record)
-}
-
-/// Amortization and execution controls of [`run_sweep_with`]. The
-/// [`SweepOptions::new`] defaults reproduce [`run_sweep`]: no
-/// screening, no memo cache, incremental grouping on (grouping is a
-/// pure perf optimization whose results are bit-identical).
-#[derive(Clone, Copy, Default)]
-pub struct SweepOptions<'a> {
-    /// How work units fan out across threads.
-    pub mode: ExecutionMode,
-    /// Optional fluid screening pre-pass ([`ScreenPlan`]): screened
-    /// pairs skip simulation entirely and carry the validated fluid
-    /// prediction; seedable pairs warm-start their adaptive stopping
-    /// rule with it.
-    pub screen: Option<&'a ScreenPlan>,
-    /// Optional evaluation memo cache ([`crate::cache`]), consulted
-    /// for pairs that are neither screened nor prior-seeded (a primed
-    /// evaluation may differ from an unprimed one, so those pairs
-    /// bypass the cache entirely). Hits skip the evaluator; misses are
-    /// inserted after evaluation.
-    pub cache: Option<&'a EvalCache>,
-    /// Whether to solve grid points sharing an
-    /// [`Evaluator::incremental_key`] through one resumable pass
-    /// (population-axis MVA/convolution sweeps, depth-axis
-    /// approximation groups).
-    pub group_incremental: bool,
-    /// Optional work-unit supervision ([`Supervisor`]): `catch_unwind`
-    /// isolation, deterministic retries, budget watchdog, and the
-    /// exhausted-retries fallback. `None` (with no fault plan) is the
-    /// bare path: panics propagate and every record is
-    /// [`UnitStatus::Ok`], exactly as before supervision existed.
-    pub supervise: Option<&'a Supervisor>,
-    /// Optional deterministic chaos plan injecting panics/delays at the
-    /// work-unit sites. A fault plan with no explicit supervisor
-    /// enables the default supervisor — injected faults must always be
-    /// caught.
-    pub faults: Option<&'a FaultPlan>,
-}
-
-impl<'a> SweepOptions<'a> {
-    /// [`run_sweep`]-equivalent options under `mode`.
-    pub fn new(mode: ExecutionMode) -> Self {
-        SweepOptions {
-            mode,
-            screen: None,
-            cache: None,
-            group_incremental: true,
-            supervise: None,
-            faults: None,
-        }
-    }
-}
-
-/// Process-wide count of fresh `(scenario, evaluator)` pair
-/// evaluations launched by sweep execution: each pair whose units
-/// actually run counts once, and each member of an axis-incremental
-/// group counts once (retries of a unit do not add). Cache hits,
-/// intra-sweep aliases, and screened pairs never touch an evaluator
-/// and leave the counter unchanged — which makes the delta across a
-/// request stream the direct measure of dedup/coalescing savings (the
-/// serve broker's acceptance gate) and of the warm-cache "zero
-/// evaluator calls" property.
-static EVALUATOR_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide evaluator-call counter (see
-/// [`run_sweep_with`]): monotone over the process lifetime, so meters
-/// take a before/after difference.
-pub fn evaluator_calls() -> u64 {
-    EVALUATOR_CALLS.load(Ordering::Relaxed)
-}
-
-/// One schedulable job of [`run_sweep_with`]: a single work unit of one
-/// pair, or a whole axis-incremental group solved in one pass.
-enum SweepJob {
-    Unit { s: usize, e: usize, u: u32 },
-    Group { e: usize, members: Vec<usize> },
-}
-
-/// What one [`SweepJob`] produced.
-enum SweepJobOutput {
-    Unit { result: Result<EvalUnit, CoreError>, attempts: u32 },
-    Group(Vec<Result<Evaluation, CoreError>>),
-}
-
-/// [`run_sweep`] with the full amortization stack ([`SweepOptions`]):
-/// fluid screening, content-hashed memo caching, always-on intra-sweep
-/// deduplication of identical `(scenario, evaluator)` pairs, and
-/// axis-incremental solver grouping. Every amortization preserves the
-/// streaming order and produces records bit-identical to the plain
-/// sweep.
-pub fn run_sweep_with(
-    scenarios: &[Scenario],
-    evaluators: &[&dyn Evaluator],
-    options: &SweepOptions<'_>,
-    mut on_record: impl FnMut(usize, usize, &SweepRecord),
-) -> Vec<SweepRecord> {
-    let screen = options.screen;
-    let state = screen.map(|plan| screen_pass(scenarios, plan));
-    // A fault plan with no explicit supervisor gets the default one:
-    // injected panics must always be caught and classified.
-    let default_supervisor = Supervisor::default();
-    let supervisor: Option<&Supervisor> =
-        options.supervise.or(options.faults.map(|_| &default_supervisor));
-    let cancelled = AtomicBool::new(false);
-    let evaluators_per_scenario = evaluators.len();
-    let pair_of = |s: usize, e: usize| s * evaluators_per_scenario + e;
-    let total = scenarios.len() * evaluators.len();
-    let scenario_of = |p: usize| p / evaluators_per_scenario.max(1);
-    let evaluator_of = |p: usize| p % evaluators_per_scenario.max(1);
-
-    // Pair fingerprints power both the memo cache and intra-sweep
-    // dedup; evaluator config fingerprints are computed once.
-    let scenario_fps: Vec<String> =
-        scenarios.iter().map(crate::cache::scenario_fingerprint).collect();
-    let evaluator_fps: Vec<String> = evaluators.iter().map(|e| e.config_fingerprint()).collect();
-
-    // Expand pairs into jobs. Screened pairs get no jobs — their record
-    // is pre-filled from the fluid model — and seedable pairs record
-    // the prior their units will run under. Cache hits are pre-filled
-    // from the memo store; duplicate pairs alias their first
-    // occurrence; groupable pairs are batched per incremental key.
-    let mut pair_units: Vec<u32> = vec![0; total];
-    let mut priors: Vec<Option<PriorSeed>> = vec![None; total];
-    let mut cache_keys: Vec<Option<String>> = (0..total).map(|_| None).collect();
-    let mut out: Vec<Option<SweepRecord>> = (0..total).map(|_| None).collect();
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    // First unscreened, unseeded pair per (evaluator, fingerprint);
-    // later duplicates are filled from it at completion.
-    let mut dedup_source: HashMap<(usize, &str), usize> = HashMap::new();
-    let mut aliases: HashMap<usize, Vec<usize>> = HashMap::new();
-    // Pairs awaiting incremental grouping, per (evaluator, group key).
-    let mut groups: HashMap<(usize, String), Vec<usize>> = HashMap::new();
-    for (s, scenario) in scenarios.iter().enumerate() {
-        for (e, evaluator) in evaluators.iter().enumerate() {
-            let p = pair_of(s, e);
-            if let (Some(plan), Some(state)) = (screen, &state) {
-                if evaluator.fluid_screenable() {
-                    if let Some(fluid_ebw) = state.fluid[s] {
-                        if state.screened[s] {
-                            let result =
-                                FluidEval::new(plan.options).evaluate(scenario).map(|mut ev| {
-                                    ev.evaluator = evaluator.name();
-                                    ev
-                                });
-                            out[p] = Some(SweepRecord {
-                                scenario: scenario.clone(),
-                                evaluator: evaluator.name(),
-                                screened: true,
-                                cached: false,
-                                status: UnitStatus::Ok,
-                                attempts: 1,
-                                result,
-                            });
-                            continue;
-                        }
-                        priors[p] = Some(PriorSeed {
-                            ebw: fluid_ebw,
-                            trust: (plan.tolerance * fluid_ebw).abs().max(f64::EPSILON),
-                        });
-                    }
-                }
-            }
-            if priors[p].is_none() {
-                // Memo cache (unseeded pairs only — a primed run may
-                // stop earlier than an unprimed one, so its result is
-                // not the canonical evaluation of this pair).
-                if let Some(cache) = options.cache {
-                    let key = crate::cache::cache_key(&evaluator_fps[e], scenario);
-                    if let Some(hit) = cache.lookup(&key) {
-                        out[p] = Some(SweepRecord {
-                            scenario: scenario.clone(),
-                            evaluator: evaluator.name(),
-                            screened: false,
-                            cached: true,
-                            status: UnitStatus::Ok,
-                            attempts: 1,
-                            result: Ok(hit.attach(evaluator.name(), scenario)),
-                        });
-                        continue;
-                    }
-                    cache_keys[p] = Some(key);
-                }
-                // Intra-sweep dedup: identical pairs evaluate once.
-                match dedup_source.entry((e, scenario_fps[s].as_str())) {
-                    Entry::Occupied(source) => {
-                        aliases.entry(*source.get()).or_default().push(p);
-                        continue;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(p);
-                    }
-                }
-                // Axis-incremental grouping: batch warm-startable pairs.
-                if options.group_incremental {
-                    if let Some(key) = evaluator.incremental_key(scenario) {
-                        groups.entry((e, key)).or_default().push(p);
-                        continue;
-                    }
-                }
-            }
-            let units = evaluator.work_units(scenario).max(1);
-            pair_units[p] = units;
-            for u in 0..units {
-                jobs.push(SweepJob::Unit { s, e, u });
-            }
-        }
-    }
-    // HashMap iteration order is arbitrary; schedule groups in pair
-    // order so serial runs touch work in a reproducible sequence.
-    let mut grouped: Vec<((usize, String), Vec<usize>)> = groups.into_iter().collect();
-    grouped.sort_by_key(|(_, members)| members[0]);
-    for ((e, _), members) in grouped {
-        if let [only] = members[..] {
-            // A group of one gains nothing; schedule it as a plain unit.
-            let (s, e) = (scenario_of(only), evaluator_of(only));
-            let units = evaluators[e].work_units(&scenarios[s]).max(1);
-            pair_units[only] = units;
-            for u in 0..units {
-                jobs.push(SweepJob::Unit { s, e, u });
-            }
-        } else {
-            jobs.push(SweepJob::Group { e, members });
-        }
-    }
-
-    let mut collected: Vec<Vec<Option<Result<EvalUnit, CoreError>>>> =
-        pair_units.iter().map(|&u| (0..u).map(|_| None).collect()).collect();
-    let mut remaining: Vec<u32> = pair_units.clone();
-    let mut attempts_max: Vec<u32> = vec![1; total];
-    let mut next = 0usize;
-    // Runs on the calling thread in completion order: apply the
-    // supervision fallback policy, finalize one pair's record,
-    // replicate it onto its dedup aliases (each keeping its own
-    // scenario), feed the memo cache, and stream every record that is
-    // now contiguous from the cursor.
-    let finish_pair =
-        |p: usize,
-         mut record: SweepRecord,
-         out: &mut Vec<Option<SweepRecord>>,
-         next: &mut usize,
-         on_record: &mut dyn FnMut(usize, usize, &SweepRecord)| {
-            if let (Some(sup), Err(err)) = (supervisor, &record.result) {
-                // Out-of-domain pairs are skips, not failures — they
-                // keep today's bare-path semantics untouched.
-                if !matches!(err, CoreError::UnsupportedScenario { .. }) {
-                    record.status = UnitStatus::Failed;
-                    if sup.on_failure == OnFailure::Degrade && degradable(err) {
-                        if let Some(ev) = degraded_evaluation(
-                            &record.scenario,
-                            record.evaluator,
-                            sup.degrade_tolerance,
-                        ) {
-                            record.result = Ok(ev);
-                            record.status = UnitStatus::Degraded;
-                        }
-                    }
-                    if record.status == UnitStatus::Failed && sup.on_failure == OnFailure::Abort {
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            // Only the evaluator's own results are canonical: degraded
-            // fallbacks must never masquerade as cached evaluations.
-            if record.status == UnitStatus::Ok {
-                if let (Some(cache), Some(key), Ok(evaluation)) =
-                    (options.cache, cache_keys[p].as_ref(), &record.result)
-                {
-                    cache.insert(key, evaluation);
-                }
-            }
-            if let Some(dupes) = aliases.get(&p) {
-                for &a in dupes {
-                    let scenario = scenarios[scenario_of(a)].clone();
-                    out[a] = Some(SweepRecord {
-                        scenario: scenario.clone(),
-                        evaluator: record.evaluator,
-                        screened: false,
-                        cached: true,
-                        status: record.status,
-                        attempts: 1,
-                        result: record.result.clone().map(|mut ev| {
-                            ev.scenario = scenario;
-                            ev
-                        }),
-                    });
-                }
-            }
-            out[p] = Some(record);
-            while let Some(record) = out.get(*next).and_then(Option::as_ref) {
-                *next += 1;
-                on_record(*next, total, record);
-            }
-        };
-    parallel_consume(
-        &jobs,
-        options.mode,
-        |i, job| match job {
-            SweepJob::Unit { s, e, u } => {
-                // One evaluator call per pair (its units share one
-                // evaluation), metered on the first unit.
-                if *u == 0 {
-                    EVALUATOR_CALLS.fetch_add(1, Ordering::Relaxed);
-                }
-                match supervisor {
-                    Some(sup) => {
-                        // The job index is deterministic (job construction
-                        // is), so it keys both the backoff-jitter stream
-                        // and the fault plan's injection decisions.
-                        let (result, attempts) = supervise_unit(
-                            evaluators[*e],
-                            &scenarios[*s],
-                            *u,
-                            i as u64,
-                            priors[pair_of(*s, *e)],
-                            sup,
-                            options.faults,
-                            &cancelled,
-                        );
-                        SweepJobOutput::Unit { result, attempts }
-                    }
-                    None => SweepJobOutput::Unit {
-                        result: evaluators[*e].evaluate_unit_primed(
-                            &scenarios[*s],
-                            *u,
-                            priors[pair_of(*s, *e)],
-                        ),
-                        attempts: 1,
-                    },
-                }
-            }
-            SweepJob::Group { e, members } => {
-                EVALUATOR_CALLS.fetch_add(members.len() as u64, Ordering::Relaxed);
-                let group: Vec<&Scenario> =
-                    members.iter().map(|&p| &scenarios[scenario_of(p)]).collect();
-                // Groups are pure solver passes (no replication seeds,
-                // no injection sites), so supervision for them is
-                // isolation only: a panic becomes one typed failure per
-                // member instead of tearing down the sweep.
-                let results = if supervisor.is_some() {
-                    catch_panic(|| evaluators[*e].evaluate_group(&group)).unwrap_or_else(
-                        |message| {
-                            members
-                                .iter()
-                                .map(|_| Err(CoreError::Panicked { message: message.clone() }))
-                                .collect()
-                        },
-                    )
-                } else {
-                    evaluators[*e].evaluate_group(&group)
-                };
-                SweepJobOutput::Group(results)
-            }
-        },
-        |i, output| match output {
-            SweepJobOutput::Unit { result, attempts } => {
-                let &SweepJob::Unit { s, e, u } = &jobs[i] else {
-                    unreachable!("unit output from a group job");
-                };
-                let p = pair_of(s, e);
-                attempts_max[p] = attempts_max[p].max(attempts);
-                collected[p][u as usize] = Some(result);
-                remaining[p] -= 1;
-                if remaining[p] > 0 {
-                    return;
-                }
-                // Every unit of this pair is in: recombine (in unit
-                // order, on this thread — deterministic).
-                let units: Result<Vec<EvalUnit>, CoreError> = collected[p]
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("all units delivered"))
-                    .collect();
-                let record = SweepRecord {
-                    scenario: scenarios[s].clone(),
-                    evaluator: evaluators[e].name(),
-                    screened: false,
-                    cached: false,
-                    status: UnitStatus::Ok,
-                    attempts: attempts_max[p],
-                    result: units
-                        .and_then(|units| evaluators[e].combine_units(&scenarios[s], units)),
-                };
-                finish_pair(p, record, &mut out, &mut next, &mut on_record);
-            }
-            SweepJobOutput::Group(results) => {
-                let SweepJob::Group { e, members } = &jobs[i] else {
-                    unreachable!("group output from a unit job");
-                };
-                debug_assert_eq!(results.len(), members.len());
-                for (&p, result) in members.iter().zip(results) {
-                    let record = SweepRecord {
-                        scenario: scenarios[scenario_of(p)].clone(),
-                        evaluator: evaluators[*e].name(),
-                        screened: false,
-                        cached: false,
-                        status: UnitStatus::Ok,
-                        attempts: 1,
-                        result,
-                    };
-                    finish_pair(p, record, &mut out, &mut next, &mut on_record);
-                }
-            }
-        },
-    );
-    // Flush any trailing pre-filled (screened or cached) records the
-    // job stream never reached — including the no-jobs case.
-    while let Some(record) = out.get(next).and_then(Option::as_ref) {
-        next += 1;
-        on_record(next, total, record);
-    }
-    out.into_iter().map(|slot| slot.expect("every pair completed")).collect()
 }
 
 #[cfg(test)]

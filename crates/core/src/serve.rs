@@ -479,20 +479,11 @@ pub struct BrokerConfig {
     /// Server-default supervision (per-request fields override
     /// `max_retries`, `on_failure`, `unit_budget`).
     pub supervisor: Supervisor,
-    /// Intra-batch unit fan-out. [`ExecutionMode::Serial`] (the
-    /// default) keeps each batch on its one pool worker; results are
-    /// bit-identical either way.
-    pub mode: ExecutionMode,
 }
 
 impl Default for BrokerConfig {
     fn default() -> Self {
-        BrokerConfig {
-            threads: 2,
-            queue_depth: 256,
-            supervisor: Supervisor::default(),
-            mode: ExecutionMode::Serial,
-        }
+        BrokerConfig { threads: 2, queue_depth: 256, supervisor: Supervisor::default() }
     }
 }
 
@@ -549,7 +540,6 @@ struct Shared {
     cache: Arc<EvalCache>,
     queue_depth: usize,
     default_supervisor: Supervisor,
-    mode: ExecutionMode,
     state: Mutex<BrokerState>,
     wake: Condvar,
     requests: AtomicU64,
@@ -574,11 +564,9 @@ impl Shared {
         if !record.cached && !record.screened && record.result.is_ok() {
             self.evaluated.fetch_add(1, Ordering::Relaxed);
         }
-        enum Payload {
-            Row(String),
-            Error(String),
-        }
-        let (status, payload) = match &record.result {
+        // The reply's tail after its id and status: the row, or the
+        // error message.
+        let (status, tail) = match &record.result {
             Ok(eval) => {
                 let status = match record.status {
                     UnitStatus::Ok if record.cached => "cached",
@@ -586,25 +574,16 @@ impl Shared {
                     UnitStatus::Degraded => "degraded",
                     UnitStatus::Failed => "failed",
                 };
-                (status, Payload::Row(row_json(eval)))
+                (status, format!("\"row\":{}", row_json(eval)))
             }
-            Err(e) => ("failed", Payload::Error(e.to_string())),
+            Err(e) => ("failed", format!("\"error\":\"{}\"", json::escape(&e.to_string()))),
         };
         for waiter in waiters {
             // Coalesced duplicates were served by someone else's
             // evaluation: their reply is a cache-style replay of the
             // same row bytes.
             let status = if !waiter.origin && status == "fresh" { "cached" } else { status };
-            let line = match &payload {
-                Payload::Row(row) => {
-                    format!("{{\"id\":{},\"status\":\"{status}\",\"row\":{row}}}", waiter.id)
-                }
-                Payload::Error(message) => format!(
-                    "{{\"id\":{},\"status\":\"{status}\",\"error\":\"{}\"}}",
-                    waiter.id,
-                    json::escape(message)
-                ),
-            };
+            let line = format!("{{\"id\":{},\"status\":\"{status}\",{tail}}}", waiter.id);
             // A dead client costs its own replies, nobody else's.
             let _ = waiter.sink.writeln(&line);
         }
@@ -628,7 +607,6 @@ impl Broker {
             cache,
             queue_depth: config.queue_depth.max(1),
             default_supervisor: config.supervisor,
-            mode: config.mode,
             state: Mutex::new(BrokerState::default()),
             wake: Condvar::new(),
             requests: AtomicU64::new(0),
@@ -655,16 +633,13 @@ impl Broker {
     /// rejections, on batch completion otherwise.
     pub fn submit(&self, req: EvalRequest, sink: &Arc<ReplySink>) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        let mut supervisor = self.shared.default_supervisor;
-        if let Some(r) = req.max_retries {
-            supervisor.max_retries = r;
-        }
-        if let Some(f) = req.on_failure {
-            supervisor.on_failure = f;
-        }
-        if let Some(b) = req.unit_budget {
-            supervisor.unit_budget = Some(b);
-        }
+        let defaults = self.shared.default_supervisor;
+        let supervisor = Supervisor {
+            max_retries: req.max_retries.unwrap_or(defaults.max_retries),
+            on_failure: req.on_failure.unwrap_or(defaults.on_failure),
+            unit_budget: req.unit_budget.or(defaults.unit_budget),
+            ..defaults
+        };
         // The evaluator instance is rebuilt per batch; here it only
         // supplies the config fingerprint for the cache key.
         let fingerprint = req.evaluator.build(req.budget).config_fingerprint();
@@ -810,10 +785,12 @@ fn run_batch(shared: &Shared, members: &[Pending]) {
     let fingerprint = evaluator.config_fingerprint();
     let scenarios: Vec<Scenario> = members.iter().map(|p| p.scenario.clone()).collect();
     let refs: Vec<&dyn Evaluator> = vec![evaluator.as_ref()];
+    // Each batch stays on its one pool worker: the pool is the
+    // parallelism, and results are bit-identical either way.
     let options = SweepOptions {
         cache: Some(shared.cache.as_ref()),
         supervise: Some(&supervisor),
-        ..SweepOptions::new(shared.mode)
+        ..SweepOptions::new(ExecutionMode::Serial)
     };
     run_sweep_with(&scenarios, &refs, &options, |_, _, record| {
         shared.resolve(&fingerprint, record);

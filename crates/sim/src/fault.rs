@@ -309,18 +309,22 @@ impl FaultPlan {
         ((h >> 11) as f64 / (1u64 << 53) as f64) < self.rate
     }
 
-    /// Runs the work-unit injection sites for `(key, attempt)`: sleeps
-    /// if `unit-delay` fires, then panics if `unit-panic` fires (the
-    /// payload carries [`INJECTED_PANIC_MARKER`]). Call under the
-    /// supervisor's `catch_unwind`.
-    pub fn inject_unit(&self, key: u64, attempt: u64) {
+    /// Runs the work-unit injection sites for unit `unit` of sweep
+    /// pair `pair` at `attempt`: sleeps if `unit-delay` fires, then
+    /// panics if `unit-panic` fires (the payload carries
+    /// [`INJECTED_PANIC_MARKER`]). The decision key is the unit's
+    /// `(pair, unit)` identity, never its position in a job queue, so
+    /// the same units fail whatever a cache or screen settled first.
+    /// Call under the supervisor's `catch_unwind`.
+    pub fn inject_unit(&self, pair: u64, unit: u32, attempt: u64) {
+        let key = (pair << 32) | u64::from(unit);
         if self.fires(FaultSite::UnitDelay, key, attempt) {
             self.counters.delays.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
         }
         if self.fires(FaultSite::UnitPanic, key, attempt) {
             self.counters.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("{INJECTED_PANIC_MARKER}: unit {key} attempt {attempt}");
+            panic!("{INJECTED_PANIC_MARKER}: pair {pair} unit {unit} attempt {attempt}");
         }
     }
 
@@ -476,7 +480,7 @@ mod tests {
     #[test]
     fn injected_panic_carries_marker() {
         let plan = FaultPlan::new(5, 1.0).unwrap().with_sites(&[FaultSite::UnitPanic]);
-        let caught = std::panic::catch_unwind(|| plan.inject_unit(0, 0));
+        let caught = std::panic::catch_unwind(|| plan.inject_unit(0, 0, 0));
         let payload = caught.unwrap_err();
         let message = payload.downcast_ref::<String>().expect("string payload");
         assert!(message.contains(INJECTED_PANIC_MARKER));

@@ -814,7 +814,7 @@ fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
             if !(screen_tol.is_finite() && screen_tol > 0.0) {
                 return Err(format!("bad --screen-tol `{screen_tol}` (expected > 0)"));
             }
-            Some(ScreenPlan { tolerance: screen_tol, ..ScreenPlan::default() })
+            Some(ScreenPlan { tolerance: screen_tol })
         }
         Some(other) => return Err(format!("bad --screen `{other}` (expected fluid)")),
     };
@@ -1077,7 +1077,7 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
     let supervisor = Supervisor { max_retries, on_failure, unit_budget, ..Supervisor::default() };
     let broker = std::sync::Arc::new(Broker::new(
         std::sync::Arc::new(cache),
-        BrokerConfig { threads, queue_depth, supervisor, mode: ExecutionMode::Serial },
+        BrokerConfig { threads, queue_depth, supervisor },
     ));
     install_shutdown_handler();
 

@@ -154,18 +154,77 @@ fn serial_and_parallel_chaos_sweeps_match() {
     }
 }
 
+/// Fault decisions are keyed by each unit's `(pair, unit)` identity,
+/// not by its position in the job queue: one plan fails the same
+/// units, on the same attempts, whether the sweep starts cold or from a
+/// partly warm cache whose hits the planner settles before scheduling.
+#[test]
+fn fault_plan_hits_the_same_units_cold_and_partly_warm() {
+    use busnet::core::cache::EvalCache;
+
+    silence_injected_panics();
+    let scenarios = smoke_grid();
+    let sim = BusSimEval::new(SimBudget::quick());
+    let evaluators: [&dyn Evaluator; 1] = [&sim];
+    let sup = Supervisor {
+        max_retries: 1,
+        backoff_base_ms: 0,
+        on_failure: OnFailure::Skip,
+        ..Supervisor::default()
+    };
+    let plan = FaultPlan::new(31, 0.5).unwrap().with_sites(&[FaultSite::UnitPanic]);
+    let chaos = |cache: Option<&EvalCache>| {
+        let options = SweepOptions {
+            cache,
+            supervise: Some(&sup),
+            faults: Some(&plan),
+            ..SweepOptions::new(ExecutionMode::Parallel)
+        };
+        run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {})
+    };
+    let cold = chaos(None);
+    // Warm every other point, fault-free.
+    let cache = EvalCache::new();
+    let warm_half: Vec<Scenario> = scenarios.iter().step_by(2).cloned().collect();
+    let options =
+        SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Parallel) };
+    run_sweep_with(&warm_half, &evaluators, &options, |_, _, _| {});
+    let partly_warm = chaos(Some(&cache));
+
+    let (mut failed, mut survived) = (0, 0);
+    for (c, w) in cold.iter().zip(&partly_warm) {
+        if w.cached {
+            assert_eq!(w.status, UnitStatus::Ok);
+            continue;
+        }
+        assert_eq!((c.status, c.attempts), (w.status, w.attempts), "at {}", c.scenario.label());
+        match (&c.result, &w.result) {
+            // The injected panic names its (pair, unit, attempt).
+            (Err(x), Err(y)) => assert_eq!(x, y),
+            (Ok(x), Ok(y)) => assert_eq!(x, y),
+            _ => panic!("Ok/Err mismatch at {}", c.scenario.label()),
+        }
+        if w.status == UnitStatus::Failed {
+            failed += 1;
+        } else {
+            survived += 1;
+        }
+    }
+    assert!(failed > 0 && survived > 0, "plan must split the cold pairs ({failed} failed)");
+}
+
 /// The budget watchdog: an absurdly small event ceiling trips every
 /// simulation unit (degrading under `degrade`), while a generous
 /// ceiling is bit-invisible — budgeted-but-untripped runs match the
-/// unbudgeted baseline exactly, and so does a bare (unsupervised)
-/// sweep.
+/// unbudgeted baseline exactly, and so does a sweep that names no
+/// supervisor (it runs under the default one).
 #[test]
 fn budget_watchdog_trips_and_is_otherwise_invisible() {
     let scenarios = smoke_grid();
     let baseline = supervised(&scenarios, &Supervisor::default(), None);
     let sim = BusSimEval::new(SimBudget::quick());
     let evaluators: [&dyn Evaluator; 1] = [&sim];
-    let bare = run_sweep_with(
+    let unnamed = run_sweep_with(
         &scenarios,
         &evaluators,
         &SweepOptions::new(ExecutionMode::Parallel),
@@ -177,7 +236,6 @@ fn budget_watchdog_trips_and_is_otherwise_invisible() {
         backoff_base_ms: 0,
         on_failure: OnFailure::Degrade,
         unit_budget: Some(UnitBudget { max_events: Some(5), max_millis: None }),
-        ..Supervisor::default()
     };
     let tripped = supervised(&scenarios, &tight, None);
     assert!(
@@ -190,12 +248,12 @@ fn budget_watchdog_trips_and_is_otherwise_invisible() {
         ..Supervisor::default()
     };
     let untripped = supervised(&scenarios, &roomy, None);
-    for (b, u) in baseline.iter().zip(&untripped).chain(baseline.iter().zip(&bare)) {
+    for (b, u) in baseline.iter().zip(&untripped).chain(baseline.iter().zip(&unnamed)) {
         assert_eq!(u.status, UnitStatus::Ok);
         assert_eq!(
             b.result.as_ref().unwrap(),
             u.result.as_ref().unwrap(),
-            "an untripped budget or a bare sweep changed {}",
+            "an untripped budget or the default supervisor changed {}",
             b.scenario.label()
         );
     }

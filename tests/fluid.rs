@@ -12,6 +12,7 @@ use busnet::core::scenario::{
     run_sweep, run_sweep_with, BusSimEval, Evaluator, EvaluatorKind, FluidEval, Scenario,
     ScenarioGrid, ScreenPlan, SimBudget, Stopping, SweepOptions, SweepRecord,
 };
+use busnet::core::CoreError;
 use busnet::sim::event::EngineKind;
 use busnet::sim::exec::ExecutionMode;
 use proptest::prelude::*;
@@ -137,10 +138,12 @@ fn multibus_sweep_reaches_crossbar_bound() {
 /// The screening contract: screened records carry the fluid
 /// prediction under the simulator's name with zero simulated events
 /// and the `screened` flag set; unscreened records still simulate and
-/// land within the combined tolerance of the plain run.
+/// land within the combined tolerance of the plain run; and a point
+/// outside the simulator's domain stays the simulator's typed
+/// rejection, screened or not.
 #[test]
 fn screened_sweep_skips_validated_points() {
-    let scenarios = ScenarioGrid::new()
+    let mut scenarios = ScenarioGrid::new()
         .n_values([8])
         .m_values([8, 16])
         .r_values([8])
@@ -148,6 +151,9 @@ fn screened_sweep_skips_validated_points() {
         .bufferings([Buffering::Unbuffered, Buffering::Buffered])
         .scenarios()
         .unwrap();
+    // Its nearest anchored neighbor validates the fluid model, so a
+    // screen that ignored the domain would stand in a fluid value here.
+    scenarios.push(Scenario::new(SystemParams::new(100_000, 16, 8).unwrap()));
     let sim = BusSimEval::new(sim_budget().with_ci_width(0.05, 8));
     let refs: [&dyn Evaluator; 1] = [&sim];
     let plain = run_sweep(&scenarios, &refs, ExecutionMode::Serial, |_, _, _| {});
@@ -159,6 +165,17 @@ fn screened_sweep_skips_validated_points() {
     assert!(count > 0, "no point screened on the Table 3-4 grid with p axis");
     for (with, without) in screened.iter().zip(&plain) {
         assert_eq!(with.scenario.label(), without.scenario.label());
+        if !sim.supports(&with.scenario) {
+            assert!(
+                matches!(with.result, Err(CoreError::UnsupportedScenario { evaluator: "sim", .. })),
+                "{}: {:?}",
+                with.scenario.label(),
+                with.result
+            );
+            assert_eq!(with.result.as_ref().err(), without.result.as_ref().err());
+            assert!(!with.screened);
+            continue;
+        }
         let evaluation = with.result.as_ref().expect("in domain");
         let reference = without.result.as_ref().expect("in domain");
         if with.screened {

@@ -5,9 +5,65 @@ use busnet::core::analytic::exact_chain::ExactChain;
 use busnet::core::analytic::occupancy::{Discipline, OccupancyChain};
 use busnet::core::analytic::reduced::ReducedChain;
 use busnet::core::metrics::Metrics;
-use busnet::core::params::{Buffering, BusPolicy, SystemParams};
+use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
+use busnet::core::scenario::{Scenario, SimBudget, ALL_EVALUATOR_KINDS};
 use busnet::core::sim::bus::BusSimBuilder;
+use busnet::core::sim::service::ServiceTime;
+use busnet::core::CoreError;
+use busnet::sim::exec::ExecutionMode;
 use proptest::prelude::*;
+
+/// A valid scenario from plain strategy draws, spanning every axis an
+/// evaluator domain reads: size (`n = 8` stands for 70 000, beyond
+/// every state-space and simulation domain), policy, buffering,
+/// arbitration, workload (uniform, hot spot, bursty MMPP), service
+/// distribution and bus count.
+#[allow(clippy::too_many_arguments)]
+fn drawn_scenario(
+    n: u32,
+    m: u32,
+    r: u32,
+    p10: u32,
+    memory_priority: bool,
+    buffering: u32,
+    arbitration: u32,
+    workload: u32,
+    geometric: bool,
+    buses: u32,
+) -> Scenario {
+    let n = if n == 8 { 70_000 } else { n };
+    let params = SystemParams::new(n, m, r)
+        .unwrap()
+        .with_request_probability(f64::from(p10) / 10.0)
+        .unwrap();
+    let buffering = match buffering {
+        0 => Buffering::Unbuffered,
+        1 => Buffering::Buffered,
+        2 => Buffering::Depth(r % 4),
+        _ => Buffering::Infinite,
+    };
+    let workload = match workload {
+        0 => Workload::Uniform,
+        1 => Workload::hot_spot(0.5, m - 1).unwrap(),
+        _ => Workload::on_off_burst(0.9, 0.2, 0.8, 50, Some((0.5, 0))).unwrap(),
+    };
+    let mut scenario = Scenario::new(params)
+        .with_policy(if memory_priority {
+            BusPolicy::MemoryPriority
+        } else {
+            BusPolicy::ProcessorPriority
+        })
+        .with_buffering(buffering)
+        .with_arbitration(ArbitrationKind::ALL[arbitration as usize])
+        .with_workload(workload)
+        .with_buses(buses)
+        .unwrap();
+    if geometric {
+        scenario = scenario.with_memory_service(ServiceTime::Geometric { mean: f64::from(r) });
+    }
+    scenario.validate().unwrap();
+    scenario
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -126,5 +182,55 @@ proptest! {
         let low = run(0.3);
         let high = run(0.9);
         prop_assert!(high > low - 0.1, "p=0.9 ({high}) vs p=0.3 ({low})");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `supports()` and `evaluate()` agree for every evaluator: a
+    /// scenario is out of domain exactly when evaluating it returns the
+    /// evaluator's typed `UnsupportedScenario`. The sweep planner
+    /// settles each pair's domain through `supports()` alone, so this
+    /// keeps planned and evaluated domains identical.
+    #[test]
+    fn supports_agrees_with_evaluate(
+        n in 1u32..9,
+        m in 1u32..7,
+        r in 1u32..10,
+        p10 in 1u32..=10,
+        memory_priority in proptest::bool::ANY,
+        buffering in 0u32..4,
+        arbitration in 0u32..4,
+        workload in 0u32..3,
+        geometric in proptest::bool::ANY,
+        buses in 1u32..4,
+    ) {
+        let scenario = drawn_scenario(
+            n, m, r, p10, memory_priority, buffering, arbitration, workload, geometric, buses,
+        );
+        let budget = SimBudget {
+            replications: 2,
+            warmup: 20,
+            measure: 200,
+            mode: ExecutionMode::Serial,
+            ..SimBudget::quick()
+        };
+        for kind in ALL_EVALUATOR_KINDS {
+            let evaluator = kind.build(budget);
+            let result = evaluator.evaluate(&scenario);
+            let rejected = matches!(
+                &result,
+                Err(CoreError::UnsupportedScenario { evaluator, .. }) if *evaluator == kind.name()
+            );
+            prop_assert!(
+                evaluator.supports(&scenario) != rejected,
+                "{} @ {}: supports = {}, evaluate = {:?}",
+                kind.name(),
+                scenario.label(),
+                evaluator.supports(&scenario),
+                result.map(|e| e.ebw())
+            );
+        }
     }
 }
