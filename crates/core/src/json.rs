@@ -73,15 +73,6 @@ impl Json {
         }
     }
 
-    /// Any numeric value widened to `f64` (integers included).
-    pub(crate) fn number(&self) -> Option<f64> {
-        match self {
-            Json::Int(v) => Some(*v as f64),
-            Json::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub(crate) fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
@@ -279,12 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_floats_and_widens_ints() {
+    fn parses_floats_and_keeps_ints() {
         let doc = Json::parse(r#"{"p":0.25,"neg":-2.5,"exp":1e3,"int":7}"#).expect("parses");
-        assert_eq!(doc.field("p").and_then(Json::number), Some(0.25));
-        assert_eq!(doc.field("neg").and_then(Json::number), Some(-2.5));
-        assert_eq!(doc.field("exp").and_then(Json::number), Some(1000.0));
-        assert_eq!(doc.field("int").and_then(Json::number), Some(7.0));
+        assert_eq!(doc.field("p"), Some(&Json::Float(0.25)));
+        assert_eq!(doc.field("neg"), Some(&Json::Float(-2.5)));
+        assert_eq!(doc.field("exp"), Some(&Json::Float(1000.0)));
+        assert_eq!(doc.field("int"), Some(&Json::Int(7)));
         assert_eq!(doc.field("p").and_then(Json::int), None, "floats are not ints");
     }
 

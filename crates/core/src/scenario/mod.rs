@@ -59,6 +59,7 @@ use crate::sim::bus::{AdaptivePlan, BusSimBuilder, PriorSeed, SimReport, UnitBud
 use crate::sim::crossbar::CrossbarSim;
 use crate::sim::service::ServiceTime;
 
+pub mod spec;
 mod sweep;
 
 pub use sweep::{
@@ -963,6 +964,15 @@ impl SimBudget {
             mode: ExecutionMode::Serial,
             ..SimBudget::paper()
         }
+    }
+
+    /// The `busnet sim` default: one run of 200 000 measured cycles
+    /// seeded with 42. The run has no replications; its count here is
+    /// only the default adaptive ceiling (`max_reps`), 8 × the
+    /// measured window. `spec::single_run_budget` makes the warmup a
+    /// tenth of the measured window unless one is given.
+    pub fn single_run() -> Self {
+        SimBudget { replications: 8, master_seed: 42, ..SimBudget::paper() }
     }
 
     /// Returns a copy with the given execution mode.

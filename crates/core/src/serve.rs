@@ -10,8 +10,10 @@
 //! {"id":1,"scenario":{"n":8,"m":16,"r":8},"evaluator":"pfqn","budget":{"replications":4}}
 //! ```
 //!
-//! and earns exactly one reply line tagged with the request id and a
-//! status:
+//! Its `scenario` and `budget` members name rows of the
+//! [`spec`] tables the CLI reads too. Each
+//! request earns exactly one reply line tagged with the request id and
+//! a status:
 //!
 //! * `fresh` — this request caused the evaluation;
 //! * `cached` — replayed from the memo cache/journal or coalesced onto
@@ -54,16 +56,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use busnet_sim::event::EngineKind;
 use busnet_sim::exec::{ExecPool, ExecutionMode};
 use busnet_sim::sink::LineSink;
 
 use crate::cache::{cache_key, EvalCache};
 use crate::json::{self, Json};
-use crate::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use crate::scenario::{
-    evaluator_calls, run_sweep_with, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
-    SimBudget, Stopping, Supervisor, SweepOptions, SweepRecord, UnitStatus,
+    evaluator_calls, run_sweep_with, spec, Evaluation, Evaluator, EvaluatorKind, OnFailure,
+    Scenario, SimBudget, Supervisor, SweepOptions, SweepRecord, UnitStatus,
 };
 use crate::sim::bus::UnitBudget;
 
@@ -202,7 +202,9 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
     }
     let scenario_obj =
         doc.field("scenario").ok_or_else(|| fail("missing \"scenario\"".to_owned()))?;
-    let scenario = parse_scenario(scenario_obj).map_err(&fail)?;
+    let scenario = spec_fields(scenario_obj, "scenario")
+        .and_then(|f| spec::request_point(&f))
+        .map_err(&fail)?;
     let evaluator = match doc.field("evaluator") {
         None => EvaluatorKind::Sim,
         Some(v) => {
@@ -213,7 +215,9 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
     };
     let budget = match doc.field("budget") {
         None => SimBudget::sweep(),
-        Some(v) => parse_budget(v).map_err(&fail)?,
+        Some(v) => spec_fields(v, "budget")
+            .and_then(|f| spec::budget(SimBudget::sweep(), &f))
+            .map_err(&fail)?,
     };
     let max_retries = match doc.field("max_retries") {
         None => None,
@@ -248,120 +252,20 @@ pub fn parse_request(line: &str) -> Result<Request, ErrorReply> {
     }))
 }
 
-fn parse_scenario(v: &Json) -> Result<Scenario, String> {
-    let Json::Obj(fields) = v else { return Err("\"scenario\" must be an object".to_owned()) };
-    for (name, _) in fields {
-        if !matches!(
-            name.as_str(),
-            "n" | "m" | "r" | "p" | "policy" | "buffering" | "arbitration" | "workload" | "buses"
-        ) {
-            return Err(format!("unknown scenario field `{name}`"));
-        }
-    }
-    let int_field = |name: &str| -> Result<u32, String> {
-        let raw = v
-            .field(name)
-            .ok_or_else(|| format!("missing scenario field \"{name}\""))?
-            .int()
-            .ok_or_else(|| format!("scenario field \"{name}\" must be an integer"))?;
-        u32::try_from(raw).map_err(|_| format!("scenario field \"{name}\" out of range"))
-    };
-    let mut params = SystemParams::new(int_field("n")?, int_field("m")?, int_field("r")?)
-        .map_err(|e| e.to_string())?;
-    if let Some(p) = v.field("p") {
-        let p = p.number().ok_or("scenario field \"p\" must be a number")?;
-        params = params.with_request_probability(p).map_err(|e| e.to_string())?;
-    }
-    let mut scenario = Scenario::new(params);
-    if let Some(policy) = v.field("policy") {
-        scenario = scenario.with_policy(
-            policy
-                .str()
-                .and_then(BusPolicy::from_name)
-                .ok_or("bad scenario policy (expected proc|mem)")?,
-        );
-    }
-    if let Some(buffering) = v.field("buffering") {
-        let name = buffering.str().ok_or("scenario field \"buffering\" must be a string")?;
-        scenario = scenario.with_buffering(Buffering::from_name(name).ok_or_else(|| {
-            format!("bad buffering `{name}` (expected unbuffered|buffered|depthK|infinite)")
-        })?);
-    }
-    if let Some(arbitration) = v.field("arbitration") {
-        let name = arbitration.str().ok_or("scenario field \"arbitration\" must be a string")?;
-        scenario =
-            scenario.with_arbitration(ArbitrationKind::from_name(name).ok_or_else(|| {
-                format!("bad arbitration `{name}` (expected random|round-robin|lru|priority)")
-            })?);
-    }
-    if let Some(workload) = v.field("workload") {
-        match workload.str() {
-            Some("uniform") => scenario = scenario.with_workload(Workload::Uniform),
-            _ => return Err("bad workload (the serve protocol accepts \"uniform\")".to_owned()),
-        }
-    }
-    if let Some(buses) = v.field("buses") {
-        let buses = buses.int().ok_or("scenario field \"buses\" must be an integer")?;
-        scenario = scenario
-            .with_buses(u32::try_from(buses).map_err(|_| "buses out of range".to_owned())?)
-            .map_err(|e| e.to_string())?;
-    }
-    scenario.validate().map_err(|e| e.to_string())?;
-    Ok(scenario)
-}
-
-fn parse_budget(v: &Json) -> Result<SimBudget, String> {
-    let Json::Obj(fields) = v else { return Err("\"budget\" must be an object".to_owned()) };
-    for (name, _) in fields {
-        if !matches!(
-            name.as_str(),
-            "replications" | "cycles" | "warmup" | "seed" | "engine" | "ci_width" | "max_reps"
-        ) {
-            return Err(format!("unknown budget field `{name}`"));
-        }
-    }
-    let mut budget = SimBudget::sweep();
-    let int_field = |name: &str| -> Result<Option<u64>, String> {
-        match v.field(name) {
-            None => Ok(None),
-            Some(j) => j
-                .int()
-                .map(Some)
-                .ok_or_else(|| format!("budget field \"{name}\" must be an integer")),
-        }
-    };
-    if let Some(reps) = int_field("replications")? {
-        budget.replications =
-            u32::try_from(reps).map_err(|_| "replications out of range".to_owned())?;
-    }
-    if let Some(cycles) = int_field("cycles")? {
-        budget.measure = cycles;
-    }
-    if let Some(warmup) = int_field("warmup")? {
-        budget.warmup = warmup;
-    }
-    if let Some(seed) = int_field("seed")? {
-        budget.master_seed = seed;
-    }
-    if let Some(engine) = v.field("engine") {
-        let name = engine.str().ok_or("budget field \"engine\" must be a string")?;
-        budget.engine = EngineKind::from_name(name)
-            .ok_or_else(|| format!("bad engine `{name}` (expected cycle|event)"))?;
-    }
-    if let Some(ci) = v.field("ci_width") {
-        let ci_width = ci.number().ok_or("budget field \"ci_width\" must be a number")?;
-        if !(ci_width.is_finite() && ci_width > 0.0) {
-            return Err("ci_width must be positive".to_owned());
-        }
-        let max_reps = match int_field("max_reps")? {
-            Some(m) => u32::try_from(m).map_err(|_| "max_reps out of range".to_owned())?,
-            None => budget.replications.max(1),
-        };
-        budget.stopping = Stopping::Adaptive { ci_width, max_reps };
-    } else if v.field("max_reps").is_some() {
-        return Err("max_reps needs ci_width".to_owned());
-    }
-    Ok(budget)
+/// A `scenario` or `budget` member as `(row, text)` pairs for the
+/// [`spec`] tables: numbers and strings pass through as text (floats
+/// in their shortest round-trip spelling).
+fn spec_fields<'a>(v: &'a Json, member: &str) -> Result<Vec<(&'a str, String)>, String> {
+    let Json::Obj(fields) = v else { return Err(format!("\"{member}\" must be an object")) };
+    fields
+        .iter()
+        .map(|(name, value)| match value {
+            Json::Int(i) => Ok((name.as_str(), i.to_string())),
+            Json::Float(x) => Ok((name.as_str(), format!("{x:?}"))),
+            Json::Str(s) => Ok((name.as_str(), s.clone())),
+            _ => Err(format!("{member} field \"{name}\" must be a number or a string")),
+        })
+        .collect()
 }
 
 fn parse_unit_budget(v: &Json) -> Result<UnitBudget, String> {
@@ -800,6 +704,7 @@ fn run_batch(shared: &Shared, members: &[Pending]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{Buffering, BusPolicy};
 
     /// A `Write` into a shared buffer, so tests can read replies back.
     #[derive(Clone, Default)]
@@ -861,6 +766,11 @@ mod tests {
             (
                 r#"{"id":1,"scenario":{"n":8,"m":8,"r":8},"budget":{"teraflops":9}}"#,
                 "unknown budget",
+            ),
+            (r#"{"id":1,"scenario":{"n":8,"m":8,"r":8},"budget":{"cycles":0}}"#, "cycles"),
+            (
+                r#"{"id":1,"scenario":{"n":8,"m":8,"r":8},"budget":{"replications":0}}"#,
+                "replications",
             ),
         ];
         for (line, needle) in cases {

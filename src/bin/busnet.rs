@@ -6,7 +6,7 @@
 //! busnet run table1
 //! busnet run table3 --quick
 //! busnet run all --quick
-//! busnet sim --n 8 --m 16 --r 8 [--memory-priority] [--buffered] [--p 0.5]
+//! busnet sim --n 8 --m 16 --r 8 [--p 0.5] [--policy proc|mem] [--buffering buffered]
 //!            [--buffer-depth K|inf] [--seed 7] [--cycles 200000] [--warmup 20000]
 //!            [--arbitration random|round-robin|lru|priority] [--engine cycle|event]
 //!            [--hot-spot 0.3@0] [--module-weights 4,2,1,1] [--think-probs 1,1,0.5,0.25]
@@ -26,7 +26,6 @@
 //! Performance is measured by the separate benchmark in `perfbench/`
 //! (`bash perfbench/run.sh`), not by this binary.
 
-use std::collections::HashSet;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -34,17 +33,15 @@ use std::io::Write;
 
 use busnet::core::cache::EvalCache;
 use busnet::core::json;
-use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
+use busnet::core::scenario::spec::{self, Flags};
 use busnet::core::scenario::{
-    run_sweep_with, BusSimEval, Evaluation, Evaluator, EvaluatorKind, OnFailure, Scenario,
-    ScenarioGrid, ScreenPlan, SimBudget, Stopping, Supervisor, SweepOptions, SweepRecord,
-    UnitStatus, ALL_EVALUATOR_KINDS,
+    run_sweep_with, BusSimEval, Evaluation, Evaluator, EvaluatorKind, OnFailure, ScreenPlan,
+    SimBudget, Supervisor, SweepOptions, SweepRecord, UnitStatus, ALL_EVALUATOR_KINDS,
 };
 use busnet::core::serve::{serve_connection, Broker, BrokerConfig};
 use busnet::core::sim::bus::{AdaptiveOutcome, UnitBudget};
 use busnet::core::CoreError;
 use busnet::report::experiments::{Effort, ExperimentId, ALL_EXPERIMENTS};
-use busnet::sim::event::EngineKind;
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::fault::{silence_injected_panics, FaultPlan};
 
@@ -72,8 +69,9 @@ fn main() -> ExitCode {
                 "usage: busnet <list | run <experiment|all> [--quick] | sim ... | sweep ... | \
                  serve ... | request ...>\n\
                  \n\
-                 sim   --n N --m M --r R [--p P] [--buffered] [--buffer-depth K|inf]\n      \
-                 [--memory-priority] [--seed S] [--cycles C] [--warmup W]\n      \
+                 sim   --n N --m M --r R [--p P] [--policy proc|mem]\n      \
+                 [--buffering unbuffered|buffered|depthK|infinite] [--buffer-depth K|inf]\n      \
+                 [--seed S] [--cycles C] [--warmup W]\n      \
                  [--arbitration KIND] [--engine cycle|event]\n      \
                  [--hot-spot FRAC[@MODULE]] [--module-weights W1,..,Wm]\n      \
                  [--think-probs P1,..,Pn] [--burst ONP:OFFP:STAY:DWELL[:FRAC@MODULE]]\n      \
@@ -133,179 +131,6 @@ fn run_experiments(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Strict flag cursor: every flag must be known, every value must
-/// parse, and leftovers are an error.
-struct Flags<'a> {
-    args: &'a [String],
-    used: HashSet<usize>,
-    errors: Vec<String>,
-}
-
-impl<'a> Flags<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Flags { args, used: HashSet::new(), errors: Vec::new() }
-    }
-
-    /// Consumes a boolean flag, returning whether it was present.
-    fn switch(&mut self, name: &str) -> bool {
-        let mut present = false;
-        for (i, a) in self.args.iter().enumerate() {
-            if a == name {
-                self.used.insert(i);
-                present = true;
-            }
-        }
-        present
-    }
-
-    /// Consumes `name VALUE`, returning the raw value if present.
-    fn value(&mut self, name: &str) -> Option<&'a str> {
-        let i = self.args.iter().position(|a| a == name)?;
-        self.used.insert(i);
-        match self.args.get(i + 1) {
-            Some(v) => {
-                self.used.insert(i + 1);
-                Some(v)
-            }
-            None => {
-                self.errors.push(format!("flag {name} expects a value"));
-                None
-            }
-        }
-    }
-
-    /// Consumes and parses `name VALUE`, with a default.
-    fn parse<T: std::str::FromStr>(&mut self, name: &str, default: T) -> T {
-        match self.value(name) {
-            Some(raw) => match raw.parse() {
-                Ok(v) => v,
-                Err(_) => {
-                    self.errors.push(format!("bad value for {name}: {raw}"));
-                    default
-                }
-            },
-            None => default,
-        }
-    }
-
-    /// Fails on any unconsumed argument or accumulated error.
-    fn finish(self) -> Result<(), String> {
-        let mut errors = self.errors;
-        for (i, a) in self.args.iter().enumerate() {
-            if !self.used.contains(&i) {
-                errors.push(format!("unknown flag or stray argument: {a}"));
-            }
-        }
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("{}\nrun `busnet` without arguments for usage", errors.join("\n")))
-        }
-    }
-}
-
-/// The scenario-axis flags `sim` and `sweep` share, kept raw until
-/// [`Flags::finish`] has reported unknown flags.
-struct AxisFlags<'a> {
-    n: &'a str,
-    m: &'a str,
-    r: &'a str,
-    p: &'a str,
-    arbitration: &'a str,
-    engine: &'a str,
-    hot_spot: Option<&'a str>,
-    module_weights: Option<&'a str>,
-    think_probs: Option<&'a str>,
-    burst: Option<&'a str>,
-}
-
-/// The parsed axes: one list per axis (`sim` takes one value each).
-struct Axes {
-    n: Vec<u32>,
-    m: Vec<u32>,
-    r: Vec<u32>,
-    p: Vec<f64>,
-    arbitrations: Vec<ArbitrationKind>,
-    workloads: Vec<Workload>,
-    engine: EngineKind,
-}
-
-impl<'a> AxisFlags<'a> {
-    fn read(flags: &mut Flags<'a>) -> Self {
-        AxisFlags {
-            n: flags.value("--n").unwrap_or("8"),
-            m: flags.value("--m").unwrap_or("16"),
-            r: flags.value("--r").unwrap_or("8"),
-            p: flags.value("--p").unwrap_or("1"),
-            arbitration: flags.value("--arbitration").unwrap_or("random"),
-            engine: flags.value("--engine").unwrap_or("cycle"),
-            hot_spot: flags.value("--hot-spot"),
-            module_weights: flags.value("--module-weights"),
-            think_probs: flags.value("--think-probs"),
-            burst: flags.value("--burst"),
-        }
-    }
-
-    fn resolve(&self) -> Result<Axes, String> {
-        let arbitrations = if self.arbitration == "all" {
-            ArbitrationKind::ALL.to_vec()
-        } else {
-            self.arbitration
-                .split(',')
-                .map(|name| {
-                    ArbitrationKind::from_name(name).ok_or_else(|| {
-                        format!(
-                            "bad --arbitration `{name}` (expected random|round-robin|lru|priority|all)"
-                        )
-                    })
-                })
-                .collect::<Result<_, _>>()?
-        };
-        Ok(Axes {
-            n: parse_u32_spec(self.n)?,
-            m: parse_u32_spec(self.m)?,
-            r: parse_u32_spec(self.r)?,
-            p: parse_f64_list(self.p)?,
-            arbitrations,
-            workloads: parse_workload_flags(
-                self.hot_spot,
-                self.module_weights,
-                self.think_probs,
-                self.burst,
-            )?,
-            engine: EngineKind::from_name(self.engine)
-                .ok_or_else(|| format!("bad --engine `{}` (expected cycle|event)", self.engine))?,
-        })
-    }
-}
-
-impl Axes {
-    /// The one scenario `busnet sim` runs: every axis must hold a
-    /// single value.
-    fn point(self, policy: BusPolicy, buffering: Buffering) -> Result<Scenario, String> {
-        let (&[n], &[m], &[r], &[p], &[arbitration], [workload]) = (
-            self.n.as_slice(),
-            self.m.as_slice(),
-            self.r.as_slice(),
-            self.p.as_slice(),
-            self.arbitrations.as_slice(),
-            self.workloads.as_slice(),
-        ) else {
-            return Err("busnet sim takes a single value per axis (lists are for sweep)".to_owned());
-        };
-        let params = SystemParams::new(n, m, r)
-            .and_then(|q| q.with_request_probability(p))
-            .map_err(|e| format!("invalid parameters: {e}"))?;
-        let scenario = Scenario::new(params)
-            .with_policy(policy)
-            .with_buffering(buffering)
-            .with_arbitration(arbitration)
-            .with_workload(workload.clone());
-        scenario.validate().map_err(|e| format!("invalid workload: {e}"))?;
-        Ok(scenario)
-    }
-}
-
 /// Prints a subcommand's error, if any, and maps it to a failing exit.
 fn report(outcome: Result<ExitCode, String>) -> ExitCode {
     outcome.unwrap_or_else(|e| {
@@ -316,47 +141,19 @@ fn report(outcome: Result<ExitCode, String>) -> ExitCode {
 
 fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     let mut flags = Flags::new(args);
-    let axes = AxisFlags::read(&mut flags);
-    let seed: u64 = flags.parse("--seed", 42);
-    let cycles: u64 = flags.parse("--cycles", 200_000);
-    // Explicit warmup control; the historical default remains a tenth
-    // of the measured window.
-    let warmup: u64 = flags.parse("--warmup", cycles / 10);
-    let memory_priority = flags.switch("--memory-priority");
-    let buffered = flags.switch("--buffered");
-    let depth_spec = flags.value("--buffer-depth");
-    let ci_width_spec = flags.value("--ci-width");
-    let max_reps: u32 = flags.parse("--max-reps", 8);
+    let (axes, budget) = flags.spec();
     flags.finish()?;
-    let ci_width = ci_width_spec.map(parse_ci_width).transpose()?;
-    if ci_width.is_some() && cycles == 0 {
-        return Err("--ci-width needs a positive --cycles budget (got --cycles 0)".to_owned());
-    }
-    let buffering = match depth_spec {
-        None if buffered => Buffering::Buffered,
-        None => Buffering::Unbuffered,
-        Some(spec) => match parse_buffer_depth(spec)? {
-            b if buffered && !b.is_buffered() => {
-                return Err(format!("--buffered conflicts with --buffer-depth {spec}"))
-            }
-            b => b,
-        },
-    };
-    let policy =
-        if memory_priority { BusPolicy::MemoryPriority } else { BusPolicy::ProcessorPriority };
-    let axes = axes.resolve()?;
-    let engine = axes.engine;
-    let scenario = axes.point(policy, buffering)?;
+    let scenario = spec::point(&axes)?;
+    let budget = spec::single_run_budget(&budget)?;
 
-    // The sweep evaluator's scenario → simulator mapping and stopping
-    // rule, so bursty runs get the same one-window-per-phase-dwell
-    // telemetry and `--ci-width` the same batch plan.
-    let stopping = match ci_width {
-        None => Stopping::Fixed,
-        Some(ci_width) => Stopping::Adaptive { ci_width, max_reps },
-    };
-    let budget = SimBudget { warmup, measure: cycles, engine, stopping, ..SimBudget::paper() };
-    let builder = BusSimEval::new(budget).builder_for(&scenario, seed);
+    // The sweep evaluator's domain, scenario → simulator mapping and
+    // stopping rule, so bursty runs get the same one-window-per-phase-
+    // dwell telemetry and `--ci-width` the same batch plan.
+    let sim = BusSimEval::new(budget);
+    if !sim.supports(&scenario) {
+        return Err(format!("the simulator does not support this scenario ({})", scenario.label()));
+    }
+    let builder = sim.builder_for(&scenario, budget.master_seed);
     let mut adaptive = None;
     let report = match budget.adaptive_plan(None) {
         None => builder.run(),
@@ -370,16 +167,19 @@ fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     let metrics = report.metrics();
     let params = &scenario.params;
     println!(
-        "n={} m={} r={} p={} {policy:?} buffering={} arbitration={} workload={} engine={} \
-         seed={seed} warmup={warmup}",
+        "n={} m={} r={} p={} {:?} buffering={} arbitration={} workload={} engine={} seed={} \
+         warmup={}",
         params.n(),
         params.m(),
         params.r(),
         params.p(),
-        buffering.name(),
+        scenario.policy,
+        scenario.buffering.name(),
         scenario.arbitration.name(),
         scenario.workload.name(),
-        engine.name()
+        budget.engine.name(),
+        budget.master_seed,
+        budget.warmup
     );
     println!("  EBW                  {:.4}", metrics.ebw);
     println!("  bus utilization      {:.4}", metrics.bus_utilization);
@@ -426,84 +226,6 @@ fn run_sim(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parses one `--hot-spot` item: `FRAC` or `FRAC@MODULE`.
-fn parse_hot_spot_item(spec: &str) -> Result<Workload, String> {
-    let (frac, module) = match spec.split_once('@') {
-        None => (spec, 0u32),
-        Some((frac, module)) => (
-            frac,
-            module
-                .parse()
-                .map_err(|_| format!("bad --hot-spot `{spec}` (MODULE must be an integer)"))?,
-        ),
-    };
-    let fraction: f64 = frac
-        .parse()
-        .map_err(|_| format!("bad --hot-spot `{spec}` (expected FRAC or FRAC@MODULE)"))?;
-    Workload::hot_spot(fraction, module).map_err(|e| e.to_string())
-}
-
-/// Parses a `--burst` spec: `ONP:OFFP:STAY:DWELL[:FRAC@MODULE]` — an
-/// on/off MMPP with per-phase think probabilities `ONP`/`OFFP`, phase
-/// self-transition probability `STAY`, a dwell of `DWELL` cycles
-/// between phase-transition draws, and an optional on-phase hot spot.
-fn parse_burst_spec(spec: &str) -> Result<Workload, String> {
-    let bad = || format!("bad --burst `{spec}` (expected ONP:OFFP:STAY:DWELL[:FRAC@MODULE])");
-    let parts: Vec<&str> = spec.split(':').collect();
-    let (on_p, off_p, stay, dwell, hot) = match parts.as_slice() {
-        [on, off, stay, dwell] => (on, off, stay, dwell, None),
-        [on, off, stay, dwell, hot] => {
-            let (frac, module) = hot.split_once('@').ok_or_else(bad)?;
-            let frac: f64 = frac.parse().map_err(|_| bad())?;
-            let module: u32 = module.parse().map_err(|_| bad())?;
-            (on, off, stay, dwell, Some((frac, module)))
-        }
-        _ => return Err(bad()),
-    };
-    let on_p: f64 = on_p.parse().map_err(|_| bad())?;
-    let off_p: f64 = off_p.parse().map_err(|_| bad())?;
-    let stay: f64 = stay.parse().map_err(|_| bad())?;
-    let dwell: u64 = dwell.parse().map_err(|_| bad())?;
-    Workload::on_off_burst(on_p, off_p, stay, dwell, hot).map_err(|e| e.to_string())
-}
-
-/// Resolves the workload flags (`--hot-spot`, `--module-weights`,
-/// `--think-probs`, `--burst`) into a workload axis. The four are
-/// mutually exclusive; `--hot-spot` accepts a comma list (one workload
-/// per fraction), the others describe a single workload.
-fn parse_workload_flags(
-    hot_spot: Option<&str>,
-    module_weights: Option<&str>,
-    think_probs: Option<&str>,
-    burst: Option<&str>,
-) -> Result<Vec<Workload>, String> {
-    let set =
-        [hot_spot.is_some(), module_weights.is_some(), think_probs.is_some(), burst.is_some()]
-            .iter()
-            .filter(|&&s| s)
-            .count();
-    if set > 1 {
-        return Err("--hot-spot, --module-weights, --think-probs, and --burst are mutually \
-                    exclusive"
-            .to_owned());
-    }
-    if let Some(spec) = hot_spot {
-        return spec.split(',').map(parse_hot_spot_item).collect();
-    }
-    if let Some(spec) = module_weights {
-        let weights = parse_f64_list(spec)?;
-        return Ok(vec![Workload::weighted(weights).map_err(|e| e.to_string())?]);
-    }
-    if let Some(spec) = think_probs {
-        let probs = parse_f64_list(spec)?;
-        return Ok(vec![Workload::heterogeneous(probs).map_err(|e| e.to_string())?]);
-    }
-    if let Some(spec) = burst {
-        return Ok(vec![parse_burst_spec(spec)?]);
-    }
-    Ok(vec![Workload::Uniform])
-}
-
 /// Parses a `--unit-budget` value: `EVENTS[:MILLIS]`, with `0` meaning
 /// "unlimited" on either axis (both zero disables the watchdog).
 fn parse_unit_budget(spec: &str) -> Result<Option<UnitBudget>, String> {
@@ -519,75 +241,6 @@ fn parse_unit_budget(spec: &str) -> Result<Option<UnitBudget>, String> {
         max_millis: (millis > 0).then_some(millis),
     };
     Ok((!budget.is_unlimited()).then_some(budget))
-}
-
-/// Parses a `--ci-width` value: a positive finite number.
-fn parse_ci_width(spec: &str) -> Result<f64, String> {
-    match spec.parse::<f64>() {
-        Ok(w) if w.is_finite() && w > 0.0 => Ok(w),
-        _ => Err(format!("bad --ci-width `{spec}` (expected a positive number)")),
-    }
-}
-
-/// Parses a `--buffer-depth` value: a non-negative integer or `inf`.
-fn parse_buffer_depth(spec: &str) -> Result<Buffering, String> {
-    match spec {
-        "inf" | "infinite" => Ok(Buffering::Infinite),
-        _ => {
-            let depth: u32 = spec
-                .parse()
-                .map_err(|_| format!("bad --buffer-depth `{spec}` (expected an integer or inf)"))?;
-            let buffering = Buffering::Depth(depth);
-            buffering.validate().map_err(|e| e.to_string())?;
-            Ok(buffering)
-        }
-    }
-}
-
-/// Most values one axis range may expand to. The length is computed
-/// from the bounds, so an oversized range is rejected before anything
-/// is allocated.
-const MAX_AXIS_VALUES: u64 = 1 << 16;
-
-/// Most points one sweep grid may expand to, checked before the grid
-/// is materialized.
-const MAX_SWEEP_POINTS: usize = 1 << 22;
-
-/// Parses an axis spec: `2,6,10`, `2..64` (inclusive), or `2..16:2`.
-fn parse_u32_spec(spec: &str) -> Result<Vec<u32>, String> {
-    let bad = |why: String| Err(format!("bad axis spec `{spec}`: {why}"));
-    let (range, step) = match spec.split_once(':') {
-        None => (spec, 1),
-        Some((range, step)) => match step.parse::<u32>() {
-            Ok(0) | Err(_) => return bad("step must be a positive integer".to_owned()),
-            Ok(_) if !range.contains("..") => {
-                return bad("a step requires a LO..HI range".to_owned())
-            }
-            Ok(step) => (range, step),
-        },
-    };
-    if let Some((lo, hi)) = range.split_once("..") {
-        let (Ok(lo), Ok(hi)) = (lo.parse::<u32>(), hi.parse::<u32>()) else {
-            return bad("expected integers around `..`".to_owned());
-        };
-        if lo > hi {
-            return bad("range is empty".to_owned());
-        }
-        let len = u64::from(hi - lo) / u64::from(step) + 1;
-        if len > MAX_AXIS_VALUES {
-            return bad(format!("expands to {len} values (at most {MAX_AXIS_VALUES})"));
-        }
-        return Ok((lo..=hi).step_by(step as usize).collect());
-    }
-    spec.split(',')
-        .map(|v| v.parse().map_err(|_| format!("bad axis spec `{spec}`: `{v}` is not an integer")))
-        .collect()
-}
-
-fn parse_f64_list(spec: &str) -> Result<Vec<f64>, String> {
-    spec.split(',')
-        .map(|v| v.parse().map_err(|_| format!("bad value list `{spec}`: `{v}` is not a number")))
-        .collect()
 }
 
 /// Output encoding of sweep rows.
@@ -752,22 +405,11 @@ fn record_outcome(record: &SweepRecord) -> (bool, bool) {
 }
 
 fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let defaults = SimBudget::sweep();
     let mut flags = Flags::new(args);
-    let axes = AxisFlags::read(&mut flags);
-    let policy_spec = flags.value("--policy").unwrap_or("proc");
-    let buffering_spec = flags.value("--buffering");
-    let depth_spec = flags.value("--buffer-depth");
+    let (axes, budget) = flags.spec();
     let evaluator_spec = flags.value("--evaluator").unwrap_or("sim");
     let format_spec = flags.value("--format").unwrap_or("csv");
-    let replications: u32 = flags.parse("--replications", defaults.replications);
-    let cycles: u64 = flags.parse("--cycles", defaults.measure);
-    let warmup: u64 = flags.parse("--warmup", defaults.warmup);
-    let seed: u64 = flags.parse("--seed", defaults.master_seed);
     let serial = flags.switch("--serial");
-    let ci_width_spec = flags.value("--ci-width");
-    let max_reps: u32 = flags.parse("--max-reps", replications.max(1));
-    let buses_spec = flags.value("--buses").unwrap_or("1");
     let screen_spec = flags.value("--screen");
     let screen_tol: f64 = flags.parse("--screen-tol", 0.05);
     let cache_dir_spec = flags.value("--cache-dir");
@@ -778,23 +420,9 @@ fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
     let fault_plan_spec = flags.value("--fault-plan");
     flags.finish()?;
 
-    let Axes { n, m, r, p, arbitrations, workloads, engine } = axes.resolve()?;
-    let policies = match policy_spec {
-        "both" => vec![BusPolicy::ProcessorPriority, BusPolicy::MemoryPriority],
-        name => vec![BusPolicy::from_name(name)
-            .ok_or_else(|| format!("bad --policy `{name}` (expected proc|mem|both)"))?],
-    };
-    let bufferings = match (buffering_spec, depth_spec) {
-        (Some(_), Some(_)) => {
-            return Err("--buffering and --buffer-depth are mutually exclusive".to_owned())
-        }
-        (None, None) => vec![Buffering::Unbuffered],
-        (Some("both"), None) => vec![Buffering::Unbuffered, Buffering::Buffered],
-        (Some(name), None) => vec![Buffering::from_name(name).ok_or_else(|| {
-            format!("bad --buffering `{name}` (expected unbuffered|buffered|depthK|infinite|both)")
-        })?],
-        (None, Some(spec)) => spec.split(',').map(parse_buffer_depth).collect::<Result<_, _>>()?,
-    };
+    let scenarios =
+        spec::grid(&axes)?.scenarios().map_err(|e| format!("invalid sweep point: {e}"))?;
+    let budget = spec::budget(SimBudget::sweep(), &budget)?;
     let format = match format_spec {
         "csv" => SweepFormat::Csv,
         "json" => SweepFormat::Json,
@@ -807,7 +435,6 @@ fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("unknown evaluator `{name}`; try `busnet list`"))
         })
         .collect::<Result<_, _>>()?;
-    let buses = parse_u32_spec(buses_spec)?;
     let screen: Option<ScreenPlan> = match screen_spec {
         None => None,
         Some("fluid") => {
@@ -857,40 +484,10 @@ fn run_sweep_cmd(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("# resume: {loaded} completed point(s) loaded from the journal");
     }
 
-    let grid = ScenarioGrid::new()
-        .n_values(n)
-        .m_values(m)
-        .r_values(r)
-        .p_values(p)
-        .policies(policies)
-        .bufferings(bufferings)
-        .arbitrations(arbitrations)
-        .workloads(workloads)
-        .buses_values(buses);
-    if grid.len() > MAX_SWEEP_POINTS {
-        return Err(format!(
-            "sweep grid too large: more than {MAX_SWEEP_POINTS} points (narrow an axis)"
-        ));
-    }
-    let scenarios = grid.scenarios().map_err(|e| format!("invalid sweep point: {e}"))?;
-    let stopping = match ci_width_spec.map(parse_ci_width).transpose()? {
-        None => Stopping::Fixed,
-        Some(ci_width) => Stopping::Adaptive { ci_width, max_reps },
-    };
-
     // The sweep scheduler fans out (scenario × evaluator × replication)
     // work units over the work-stealing pool; `--serial` collapses it
     // for timing comparisons.
     let sweep_mode = if serial { ExecutionMode::Serial } else { ExecutionMode::Parallel };
-    let budget = SimBudget {
-        replications,
-        warmup,
-        measure: cycles,
-        master_seed: seed,
-        engine,
-        stopping,
-        ..defaults
-    };
     let evaluators: Vec<Box<dyn Evaluator>> = kinds.iter().map(|k| k.build(budget)).collect();
     let refs: Vec<&dyn Evaluator> = evaluators.iter().map(AsRef::as_ref).collect();
 

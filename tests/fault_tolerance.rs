@@ -425,6 +425,8 @@ fn hostile_cli_inputs_never_panic() {
         &["sweep", "--n", "1..100000", "--m", "1..100000", "--r", "8", "--evaluator", "pfqn"],
         &["sweep", "--n", "1..4000000000"],
         &["sweep", "--n", "1..4096", "--m", "1..4096", "--evaluator", "pfqn"],
+        &["sweep", "--replications", "4000000000"],
+        &["sweep", "--cycles", "0"],
         &["run", "no-such-experiment"],
     ];
     for case in cases {

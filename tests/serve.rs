@@ -183,6 +183,13 @@ fn bad_requests_earn_structured_errors_and_the_connection_survives() {
             "unknown request field",
         ),
         (r#"{"id":13,"op":"reboot"}"#, "error", "unknown op"),
+        // Four billion replications once aborted the whole server on a
+        // failed allocation in the sweep plan.
+        (
+            r#"{"id":8,"scenario":{"n":8,"m":16,"r":8},"evaluator":"sim","budget":{"replications":4000000000,"cycles":1,"warmup":0}}"#,
+            "error",
+            "replications",
+        ),
         // In-domain parse, out-of-domain evaluation: the exact chain
         // needs memory priority, so the default point fails cleanly.
         (
