@@ -831,39 +831,10 @@ impl FluidModel {
         self.depth
     }
 
-    /// The state dimension (exposed for benches: step cost is linear
-    /// in it and independent of `n`).
+    /// The state dimension (an RK4 step's cost is linear in it and
+    /// independent of `n`).
     pub fn state_dimension(&self) -> usize {
         self.dim()
-    }
-
-    /// One RK4 step on a caller-provided state (exposed for benches).
-    pub fn bench_step(&self, y: &mut Vec<f64>) {
-        let dim = self.dim();
-        if y.len() != dim {
-            *y = self.initial_state();
-        }
-        let (mut k1, mut k2, mut k3, mut k4) =
-            (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
-        let mut probe = vec![0.0; dim];
-        let h = self.step;
-        self.derivative(y, &mut k1);
-        for i in 0..dim {
-            probe[i] = y[i] + 0.5 * h * k1[i];
-        }
-        self.derivative(&probe, &mut k2);
-        for i in 0..dim {
-            probe[i] = y[i] + 0.5 * h * k2[i];
-        }
-        self.derivative(&probe, &mut k3);
-        for i in 0..dim {
-            probe[i] = y[i] + h * k3[i];
-        }
-        self.derivative(&probe, &mut k4);
-        for i in 0..dim {
-            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        self.project(y);
     }
 }
 

@@ -110,14 +110,14 @@ pub enum ReducedArbitration {
     /// As printed in the paper's class-3 row: a module completing during
     /// a `Request` cycle takes the bus next, even past waiting
     /// processors. Inflates the reachable space (e.g. 213 states at
-    /// `v = 8`); kept for the ablation study.
+    /// `v = 8`); kept so the tests can compare both readings.
     CompletionStealsBus,
 }
 
 /// Aggregate model of the per-cycle completion probability `P1`
 /// (the scan prints "approximately equal to i/r" ambiguously — the
-/// glyph could be `1/r`; both readings plus an uncapped independent
-/// variant are available for the ablation study).
+/// glyph could be `1/r`; both readings are implemented so the tests
+/// can show which one the paper means).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CompletionModel {
     /// `P1 = i/r` (capped at 1): each of the `i` staggered accesses has
@@ -127,9 +127,6 @@ pub enum CompletionModel {
     /// `P1 = 1/r` whenever `i ≥ 1`: a single completion "slot" per
     /// memory cycle regardless of concurrency.
     SingleSlot,
-    /// `P1 = 1 − (1 − 1/r)^i`: independent per-module completion,
-    /// ignoring the at-most-one-per-cycle serialization.
-    Independent,
 }
 
 /// The §4 reduced approximate chain (priority to processors, `p = 1`).
@@ -236,7 +233,6 @@ impl ReducedChain {
         match self.completion {
             CompletionModel::Proportional => (f64::from(in_service) / r).min(1.0),
             CompletionModel::SingleSlot => 1.0 / r,
-            CompletionModel::Independent => 1.0 - (1.0 - 1.0 / r).powi(in_service as i32),
         }
     }
 
@@ -570,7 +566,7 @@ mod tests {
     }
 
     /// The printed (steals) reading inflates the space — recorded as a
-    /// regression so the ablation stays honest.
+    /// regression so the comparison of readings stays honest.
     #[test]
     fn steals_variant_inflates_state_count() {
         let params = SystemParams::new(8, 8, 15).unwrap();

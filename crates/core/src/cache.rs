@@ -402,6 +402,9 @@ impl EvalCache {
     /// disk journal when one is configured). Re-inserting an existing
     /// key is a no-op, so a journal never accumulates duplicates.
     pub fn insert(&self, key: &str, evaluation: &Evaluation) {
+        if !evaluation.metrics.has_valid_ebw() {
+            return;
+        }
         let cached = CachedEvaluation::from_evaluation(evaluation);
         {
             let mut map = self.map_lock();
@@ -689,6 +692,9 @@ fn parse_record(line: &str) -> Option<(String, CachedEvaluation)> {
             Some(v) => Some(v.hex_f64()?),
         },
     };
+    if !metrics.has_valid_ebw() {
+        return None;
+    }
     let eval = CachedEvaluation {
         metrics,
         half_width_95: e.field("hw95")?.hex_f64()?,
@@ -887,6 +893,35 @@ mod tests {
         assert_eq!(warm.stats().skipped, 3, "every bad line counted");
         assert_eq!(warm.stats().torn, 0);
         assert!(warm.lookup(&key).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_finite_ebw_is_neither_stored_nor_replayed() {
+        let dir = std::env::temp_dir().join(format!("busnet-nan-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sim = BusSimEval::new(SimBudget::quick());
+        let s = scenario();
+        let key = cache_key(&sim.config_fingerprint(), &s);
+        let mut evaluation = sim.evaluate(&s).unwrap();
+        let cold = EvalCache::with_dir(&dir).unwrap();
+        for ebw in [f64::NAN, f64::INFINITY, -1.0] {
+            evaluation.metrics.ebw = ebw;
+            cold.insert(&key, &evaluation);
+        }
+        assert!(cold.is_empty() && cold.stats().appended == 0, "invalid results are refused");
+        // A journal written before the refusal holds the NaN bits as a
+        // hex float; such a line now replays as a miss.
+        let good =
+            emit_record(&key, &CachedEvaluation::from_evaluation(&sim.evaluate(&s).unwrap()));
+        let ebw = good.split("\"ebw\":\"").nth(1).unwrap().split('"').next().unwrap();
+        let nan_line =
+            good.replacen(&format!("\"ebw\":\"{ebw}\""), "\"ebw\":\"fff8000000000000\"", 1);
+        assert_ne!(nan_line, good);
+        std::fs::write(dir.join("evalcache.jsonl"), format!("{nan_line}\n")).unwrap();
+        let warm = EvalCache::with_dir(&dir).unwrap();
+        assert_eq!((warm.stats().loaded, warm.stats().skipped), (0, 1));
+        assert!(warm.lookup(&key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

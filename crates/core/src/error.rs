@@ -44,6 +44,15 @@ pub enum CoreError {
         /// The configured limit.
         limit: u64,
     },
+    /// An evaluator returned an EBW that is NaN, infinite or negative
+    /// (a model pushed past its numeric range); the sweep supervisor
+    /// turns such a result into this failure.
+    InvalidResult {
+        /// The evaluator that returned it.
+        evaluator: &'static str,
+        /// The offending EBW, as text.
+        ebw: String,
+    },
     /// A work unit was cancelled because a sibling failed hard under
     /// `--on-failure abort`.
     Aborted {
@@ -67,6 +76,11 @@ impl fmt::Display for CoreError {
             CoreError::BudgetExceeded { what, used, limit } => {
                 write!(f, "unit budget exceeded: {used} {what} > limit {limit}")
             }
+            CoreError::InvalidResult { evaluator, ebw } => write!(
+                f,
+                "evaluator `{evaluator}` returned EBW {ebw}, which is not a finite \
+                 non-negative number"
+            ),
             CoreError::Aborted { cause } => write!(f, "sweep aborted: {cause}"),
         }
     }
@@ -81,6 +95,7 @@ impl Error for CoreError {
             | CoreError::UnsupportedScenario { .. }
             | CoreError::Panicked { .. }
             | CoreError::BudgetExceeded { .. }
+            | CoreError::InvalidResult { .. }
             | CoreError::Aborted { .. } => None,
         }
     }

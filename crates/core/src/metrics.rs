@@ -66,6 +66,12 @@ impl Metrics {
             mean_wait_cycles,
         }
     }
+
+    /// Whether the EBW is a finite, non-negative number — the only
+    /// kind a sweep row, a serve reply or a cache journal may carry.
+    pub(crate) fn has_valid_ebw(&self) -> bool {
+        self.ebw.is_finite() && self.ebw >= 0.0
+    }
 }
 
 #[cfg(test)]

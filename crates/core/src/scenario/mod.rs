@@ -1333,6 +1333,35 @@ impl CrossbarSimEval {
             engine: budget.engine,
         }
     }
+
+    /// Runs the simulation under `budget`, checked between slices of
+    /// the run so a runaway unit stops mid-run.
+    fn run(&self, scenario: &Scenario, budget: &UnitBudget) -> Result<Evaluation, CoreError> {
+        require(
+            self.name(),
+            scenario,
+            self.supports(scenario),
+            "the crossbar simulator runs a single-crossbar network with at most 65536 \
+             processors/modules",
+        )?;
+        scenario.workload.validate(scenario.params.n(), scenario.params.m())?;
+        let mut sim = CrossbarSim::new(scenario.params)
+            .arbitration(scenario.arbitration)
+            .workload(scenario.workload.clone())
+            .engine(self.engine)
+            .seed(self.seed)
+            .warmup_cycles(self.warmup)
+            .measure_cycles(self.measure);
+        if let Some(spec) = scenario.workload.mmpp_spec() {
+            sim = sim.window_cycles(spec.dwell());
+        }
+        let report = sim.run_budgeted(budget)?;
+        let mut evaluation = crossbar_evaluation(self.name(), scenario, report.ebw());
+        evaluation.per_processor_ebw = Some(report.per_processor_ebw());
+        evaluation.simulated_events = report.events;
+        evaluation.windows = report.windows;
+        Ok(evaluation)
+    }
 }
 
 impl Evaluator for CrossbarSimEval {
@@ -1356,30 +1385,19 @@ impl Evaluator for CrossbarSimEval {
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
-        require(
-            self.name(),
-            scenario,
-            self.supports(scenario),
-            "the crossbar simulator runs a single-crossbar network with at most 65536 \
-             processors/modules",
-        )?;
-        scenario.workload.validate(scenario.params.n(), scenario.params.m())?;
-        let mut sim = CrossbarSim::new(scenario.params)
-            .arbitration(scenario.arbitration)
-            .workload(scenario.workload.clone())
-            .engine(self.engine)
-            .seed(self.seed)
-            .warmup_cycles(self.warmup)
-            .measure_cycles(self.measure);
-        if let Some(spec) = scenario.workload.mmpp_spec() {
-            sim = sim.window_cycles(spec.dwell());
-        }
-        let report = sim.run_report();
-        let mut evaluation = crossbar_evaluation(self.name(), scenario, report.ebw());
-        evaluation.per_processor_ebw = Some(report.per_processor_ebw());
-        evaluation.simulated_events = report.events;
-        evaluation.windows = report.windows;
-        Ok(evaluation)
+        self.run(scenario, &UnitBudget::default())
+    }
+
+    fn evaluate_unit_supervised(
+        &self,
+        scenario: &Scenario,
+        unit: u32,
+        _prior: Option<PriorSeed>,
+        budget: Option<&UnitBudget>,
+    ) -> Result<EvalUnit, CoreError> {
+        debug_assert_eq!(unit, 0, "the crossbar simulator runs as one unit");
+        let evaluation = self.run(scenario, &budget.copied().unwrap_or_default())?;
+        Ok(EvalUnit::Whole(Box::new(evaluation)))
     }
 }
 

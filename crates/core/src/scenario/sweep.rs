@@ -441,7 +441,9 @@ fn retryable(err: &CoreError) -> bool {
 /// Whether a failure should fall through to the degradation chain
 /// under [`OnFailure::Degrade`]. Invalid-parameter errors stay errors
 /// — degrading them would mask a caller bug — and cancellations stay
-/// cancellations.
+/// cancellations. An invalid (non-finite) result stays a failure too:
+/// it marks a point past the analytic models' numeric range, where the
+/// exact-chain anchor would run for minutes.
 fn degradable(err: &CoreError) -> bool {
     matches!(
         err,
@@ -758,6 +760,12 @@ impl Plan {
         on_record: &mut dyn FnMut(usize, usize, &SweepRecord),
     ) {
         let on_failure = sweep.sup.on_failure;
+        if let Ok(ev) = &record.result {
+            if !ev.metrics.has_valid_ebw() {
+                let ebw = ev.metrics.ebw.to_string();
+                record.result = Err(CoreError::InvalidResult { evaluator: record.evaluator, ebw });
+            }
+        }
         if let Err(err) = &record.result {
             record.status = UnitStatus::Failed;
             if on_failure == OnFailure::Degrade && degradable(err) {

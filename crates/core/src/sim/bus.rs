@@ -470,7 +470,7 @@ impl BusSimBuilder {
             EngineKind::Event => EngineRun::Event(Box::new(self.build_event())),
         };
         let start = std::time::Instant::now();
-        let slice = (total / 64).max(1024);
+        let slice = UnitBudget::slice_cycles(total);
         let mut t = 0u64;
         while t < total {
             let t_next = (t + slice).min(total);
@@ -548,8 +548,8 @@ impl BusSimBuilder {
 /// Event / wall-clock ceilings for one supervised work unit; the
 /// default is unlimited on both axes. Enforced between engine slices by
 /// [`BusSimBuilder::run_budgeted`] / [`BusSimBuilder::run_adaptive_budgeted`]
-/// and re-checked generically by the sweep supervisor after each
-/// attempt.
+/// and by both crossbar engines, and re-checked generically by the
+/// sweep supervisor after each attempt.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnitBudget {
     /// Ceiling on simulation events processed by one unit.
@@ -562,6 +562,13 @@ impl UnitBudget {
     /// Whether the budget imposes no ceiling at all.
     pub fn is_unlimited(&self) -> bool {
         self.max_events.is_none() && self.max_millis.is_none()
+    }
+
+    /// Cycles between two checks of a `total`-cycle run:
+    /// `max(total/64, 1024)`, so a check costs nothing next to the
+    /// slice it ends while a runaway run stops within one slice.
+    pub(crate) fn slice_cycles(total: u64) -> u64 {
+        (total / 64).max(1024)
     }
 
     /// Trips when `events` or the time since `start` exceeds a ceiling.

@@ -26,8 +26,10 @@ use busnet_sim::histogram::Histogram;
 use busnet_sim::seeds::SeedSequence;
 use busnet_sim::stats::jain_fairness_index;
 
+use crate::error::CoreError;
 use crate::params::{SystemParams, Workload};
 use crate::sim::address::{MmppState, ModuleSampler, ThinkSampler};
+use crate::sim::bus::UnitBudget;
 
 pub use busnet_sim::arbiter::ArbitrationKind;
 pub use busnet_sim::event::EngineKind;
@@ -188,21 +190,30 @@ impl CrossbarSim {
 
     /// Runs the configured engine and returns the full report.
     pub fn run_report(&self) -> CrossbarReport {
+        self.run_budgeted(&UnitBudget::default()).expect("an unlimited budget cannot trip")
+    }
+
+    /// [`CrossbarSim::run_report`] under a [`UnitBudget`] watchdog,
+    /// checked between slices of `max(total/64, 1024)` cycles as in
+    /// `BusSimBuilder::run_budgeted`. The checks draw no randomness, so
+    /// a run inside its budget is bit-identical to an unbudgeted one.
+    pub(crate) fn run_budgeted(&self, budget: &UnitBudget) -> Result<CrossbarReport, CoreError> {
+        let watch = Watch::new(budget, self.warmup + self.measure);
         let stats = match self.engine {
-            EngineKind::Cycle => self.run_cycle(),
-            EngineKind::Event => self.run_event(),
+            EngineKind::Cycle => self.run_cycle(watch)?,
+            EngineKind::Event => self.run_event(watch)?,
         };
-        CrossbarReport {
+        Ok(CrossbarReport {
             served: stats.returns,
             measured_cycles: stats.measured_cycles(),
             events: stats.events,
             windows: stats.window_series(),
             per_processor_served: stats.per_entity_returns,
-        }
+        })
     }
 
     /// The cycle-stepped reference engine: one pass per crossbar cycle.
-    fn run_cycle(&self) -> SimCounters {
+    fn run_cycle(&self, mut watch: Watch) -> Result<SimCounters, CoreError> {
         #[derive(Clone, Copy, PartialEq)]
         enum Phase {
             Thinking,
@@ -233,6 +244,7 @@ impl CrossbarSim {
         let mut requesters: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut busy: Vec<usize> = Vec::with_capacity(m);
         for cycle in 0..stats.window().total_cycles() {
+            watch.at(cycle, stats.events)?;
             stats.events += 1;
             if next_phase_tick == Some(cycle) {
                 let state = mmpp.as_mut().expect("phase tick without a phase chain");
@@ -274,7 +286,7 @@ impl CrossbarSim {
                 stats.record_served(cycle, lucky);
             }
         }
-        stats
+        Ok(stats)
     }
 
     /// The event-driven engine: think timers become pre-sampled
@@ -288,7 +300,7 @@ impl CrossbarSim {
     /// per-module extents — no per-module `Vec`s, no per-cycle
     /// allocation, and the same ascending-processor order within each
     /// module that the arbiter contract requires.
-    fn run_event(&self) -> SimCounters {
+    fn run_event(&self, mut watch: Watch) -> Result<SimCounters, CoreError> {
         const NO_TARGET: u32 = u32::MAX;
         self.workload.validate(self.params.n(), self.params.m()).expect("invalid workload");
         let mut stats = self.counters();
@@ -376,6 +388,7 @@ impl CrossbarSim {
             if t >= total {
                 break;
             }
+            watch.at(t, stats.events)?;
             wake_at = None;
             // Phase boundaries fire before this cycle's request events,
             // so issue decisions at `t` use the incoming phase.
@@ -446,7 +459,34 @@ impl CrossbarSim {
                 wake_at = Some(t + 1);
             }
         }
-        stats
+        Ok(stats)
+    }
+}
+
+/// A [`UnitBudget`] checked once per slice of simulated cycles.
+struct Watch<'a> {
+    budget: &'a UnitBudget,
+    start: std::time::Instant,
+    slice: u64,
+    /// The first cycle whose arrival triggers the next check.
+    next: u64,
+}
+
+impl<'a> Watch<'a> {
+    fn new(budget: &'a UnitBudget, total: u64) -> Self {
+        let slice = UnitBudget::slice_cycles(total);
+        Watch { budget, start: std::time::Instant::now(), slice, next: slice }
+    }
+
+    /// Checks the budget once `cycle` reaches a slice boundary, with the
+    /// `events` processed before it.
+    #[inline]
+    fn at(&mut self, cycle: u64, events: u64) -> Result<(), CoreError> {
+        if cycle < self.next {
+            return Ok(());
+        }
+        self.next = (cycle / self.slice + 1) * self.slice;
+        self.budget.check(events, &self.start)
     }
 }
 

@@ -58,7 +58,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// Which simulation engine advances the model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -94,108 +94,17 @@ impl EngineKind {
 }
 
 /// Maps a failure count to the success cycle `from + k·stride`, or
-/// `None` when it overflows or falls at/beyond `horizon` — the
-/// stride/horizon convention shared by both geometric samplers.
+/// `None` when it overflows or falls at/beyond `horizon`.
 #[inline]
 fn success_at(k: u64, from: u64, stride: u64, horizon: u64) -> Option<u64> {
     let ready = k.checked_mul(stride).and_then(|d| from.checked_add(d))?;
     (ready < horizon).then_some(ready)
 }
 
-/// A geometric inter-event sampler with the `ln(1−p)` constant
-/// precomputed once, so the per-draw cost is a single uniform draw, one
-/// `ln`, and a multiply-free division — instead of recomputing the
-/// logarithm of the failure probability on every sample as the scalar
-/// [`sample_bernoulli_success`] entry point does.
-///
-/// The draw itself is bitwise-identical to the scalar path (the same
-/// `u.ln() / ln(1−p)` expression over the same uniform variate), so an
-/// engine can switch to a cached sampler without perturbing any seeded
-/// run.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::event::GeometricSampler;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let sampler = GeometricSampler::new(0.25);
-/// let mut rng = SmallRng::seed_from_u64(9);
-/// let mut draws = [0u64; 8];
-/// sampler.fill_failures(&mut rng, &mut draws);
-/// assert!(draws.iter().all(|&k| k < u64::MAX));
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct GeometricSampler {
-    p: f64,
-    /// `ln(1 − p)`; negative for `0 < p < 1`.
-    ln_q: f64,
-}
-
-impl GeometricSampler {
-    /// A sampler for success probability `p` (clamped semantics match
-    /// [`sample_bernoulli_success`]: `p ≥ 1` succeeds immediately and
-    /// consumes no randomness).
-    pub fn new(p: f64) -> Self {
-        GeometricSampler { p, ln_q: (1.0 - p).ln() }
-    }
-
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Number of failed Bernoulli(`p`) flips before the first success,
-    /// via one inverse-CDF draw. Returns `None` when the count is
-    /// unrepresentable (NaN, negative, or beyond exact-`u64` `f64`
-    /// territory — the success is unobservably far out). `p ≥ 1`
-    /// returns `Some(0)` without consuming randomness.
-    #[inline]
-    pub fn failures<R: RngCore>(&self, rng: &mut R) -> Option<u64> {
-        if self.p >= 1.0 {
-            return Some(0);
-        }
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let k = (u.ln() / self.ln_q).floor();
-        if !(0.0..9.0e15).contains(&k) {
-            return None;
-        }
-        Some(k as u64)
-    }
-
-    /// The first cycle at or after `from` at which the Bernoulli(`p`)
-    /// coin, flipped once every `stride` cycles, succeeds; `None` when
-    /// the success falls at or beyond `horizon` (or would overflow).
-    #[inline]
-    pub fn next_success<R: RngCore>(
-        &self,
-        rng: &mut R,
-        from: u64,
-        stride: u64,
-        horizon: u64,
-    ) -> Option<u64> {
-        if self.p >= 1.0 {
-            return (from < horizon).then_some(from);
-        }
-        success_at(self.failures(rng)?, from, stride, horizon)
-    }
-
-    /// Batched variant of [`GeometricSampler::failures`]: fills `out`
-    /// with consecutive failure counts from `rng`'s stream (draw `i`
-    /// consumes the same randomness the `i`-th scalar call would).
-    /// Unrepresentable draws saturate to `u64::MAX`.
-    pub fn fill_failures<R: RngCore>(&self, rng: &mut R, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.failures(rng).unwrap_or(u64::MAX);
-        }
-    }
-}
-
 /// A constant-time geometric sampler: a Walker **alias table** over the
 /// first [`GeometricAlias::CELLS`] failure counts plus a memoryless
 /// tail-escape outcome, so one `next_u64` draw plus two table loads
-/// replaces the inverse-CDF logarithm of [`GeometricSampler`] on the
+/// replaces an inverse-CDF logarithm (`k = ⌊ln u / ln(1−p)⌋`) on the
 /// engines' think-timer hot path (the `ln` was the single largest
 /// per-request cost left in the event engines).
 ///
@@ -203,10 +112,9 @@ impl GeometricSampler {
 /// of one 64-bit draw; the escape outcome (mass `(1−p)^(CELLS−1)`)
 /// adds `CELLS − 1` failures and redraws — geometric distributions are
 /// memoryless, so the recursion is exact. The table is built from the
-/// same `(1−p)^k·p` masses the inverse-CDF realizes; the two samplers
-/// draw *differently* (different uniforms map to different counts) but
-/// from the same distribution up to `f64` rounding, which the
-/// distribution tests pin.
+/// `(1−p)^k·p` masses an inverse-CDF draw realizes, so the alias draw
+/// has the same distribution up to `f64` rounding (a different
+/// uniform→count map), which the distribution tests pin.
 ///
 /// # Example
 ///
@@ -238,8 +146,7 @@ impl GeometricAlias {
     pub const CELLS: usize = 128;
 
     /// Builds the table for success probability `p` (`p ≥ 1` succeeds
-    /// immediately and consumes no randomness, as with
-    /// [`GeometricSampler`]).
+    /// immediately and consumes no randomness).
     pub fn new(p: f64) -> Self {
         let n = Self::CELLS;
         if p >= 1.0 {
@@ -448,47 +355,6 @@ impl CategoricalAlias {
             self.alias[cell] as usize
         }
     }
-}
-
-/// The first cycle at or after `from` at which a Bernoulli(`p`) coin,
-/// flipped once every `stride` cycles, succeeds — the geometric run of
-/// failed flips collapsed into one inverse-CDF draw
-/// (`P(k failures) = (1−p)^k·p ⇒ k = ⌊ln u / ln(1−p)⌋`). This is how
-/// the event engines turn per-cycle think timers into single scheduled
-/// events; hot paths hold the O(1) [`GeometricAlias`] table instead
-/// (same distribution, no logarithm), and [`GeometricSampler`] caches
-/// the `ln(1−p)` constant for callers that need the inverse-CDF
-/// draw-for-draw.
-///
-/// Returns `None` when the success falls at or beyond `horizon` (or
-/// would overflow). `p ≥ 1` succeeds immediately and consumes no
-/// randomness, matching a cycle-stepped engine that short-circuits the
-/// coin flip.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::event::sample_bernoulli_success;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = SmallRng::seed_from_u64(7);
-/// // p = 1 fires immediately at `from`, and never past the horizon.
-/// assert_eq!(sample_bernoulli_success(&mut rng, 1.0, 5, 10, 100), Some(5));
-/// assert_eq!(sample_bernoulli_success(&mut rng, 1.0, 100, 10, 100), None);
-/// // p < 1 lands on the coin-flip grid: from + k·stride.
-/// if let Some(t) = sample_bernoulli_success(&mut rng, 0.3, 7, 10, 1_000) {
-///     assert!(t >= 7 && (t - 7) % 10 == 0);
-/// }
-/// ```
-pub fn sample_bernoulli_success<R: RngCore>(
-    rng: &mut R,
-    p: f64,
-    from: u64,
-    stride: u64,
-    horizon: u64,
-) -> Option<u64> {
-    GeometricSampler::new(p).next_success(rng, from, stride, horizon)
 }
 
 /// Number of buckets in the timing wheel: events within this many ticks
@@ -882,8 +748,8 @@ impl<E> Ord for Entry<E> {
 }
 
 /// The binary-heap event queue the timing wheel replaced: kept as the
-/// independently-simple **reference model** for differential tests and
-/// the `queue_vs_heap` benchmarks. Same API and the same documented
+/// independently-simple **reference model** for differential tests.
+/// Same API and the same documented
 /// semantics as [`EventQueue`] — `(time, seq)` ordering with FIFO
 /// tie-breaking and a monotonic clock — at O(log n) per operation with
 /// a heap-allocated entry per event.
@@ -960,7 +826,7 @@ impl<E> Default for HeapEventQueue<E> {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn engine_kinds_roundtrip() {
@@ -1118,19 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_sampler_matches_scalar_path() {
-        let sampler = GeometricSampler::new(0.3);
-        let mut a = SmallRng::seed_from_u64(5);
-        let mut b = SmallRng::seed_from_u64(5);
-        for _ in 0..10_000 {
-            assert_eq!(
-                sampler.next_success(&mut a, 7, 10, 1_000_000),
-                sample_bernoulli_success(&mut b, 0.3, 7, 10, 1_000_000),
-            );
-        }
-    }
-
-    #[test]
     fn alias_table_reconstructs_geometric_masses() {
         // P(outcome = k) recovered from the alias structure must match
         // q^k·p (and the escape cell the full tail mass) to rounding.
@@ -1199,33 +1052,24 @@ mod tests {
 
     #[test]
     fn alias_sampler_distribution_matches_inverse_cdf() {
-        // Alias draws and ln-based draws realize the same distribution
-        // (different uniform→count maps): compare empirical means and
-        // small-k frequencies over a large sample.
+        // Alias draws realize the geometric law an inverse-CDF draw
+        // would: compare the empirical mean and P(0) with the analytic
+        // (1-p)/p and p over a large sample.
         let p = 0.18;
         let alias = GeometricAlias::new(p);
-        let scalar = GeometricSampler::new(p);
-        let mut rng_a = SmallRng::seed_from_u64(21);
-        let mut rng_b = SmallRng::seed_from_u64(22);
+        let mut rng = SmallRng::seed_from_u64(21);
         let n = 200_000;
-        let mut sum_a = 0u64;
-        let mut sum_b = 0u64;
-        let mut zeros_a = 0u32;
-        let mut zeros_b = 0u32;
+        let mut sum = 0u64;
+        let mut zeros = 0u32;
         for _ in 0..n {
-            let a = alias.failures(&mut rng_a);
-            let b = scalar.failures(&mut rng_b).unwrap();
-            sum_a += a;
-            sum_b += b;
-            zeros_a += u32::from(a == 0);
-            zeros_b += u32::from(b == 0);
+            let a = alias.failures(&mut rng);
+            sum += a;
+            zeros += u32::from(a == 0);
         }
         let mean = (1.0 - p) / p;
-        assert!((sum_a as f64 / n as f64 - mean).abs() < 0.05, "alias mean");
-        assert!((sum_b as f64 / n as f64 - mean).abs() < 0.05, "scalar mean");
-        let (fa, fb) = (f64::from(zeros_a) / n as f64, f64::from(zeros_b) / n as f64);
-        assert!((fa - p).abs() < 0.005, "alias P(0) = {fa}");
-        assert!((fb - p).abs() < 0.005, "scalar P(0) = {fb}");
+        assert!((sum as f64 / n as f64 - mean).abs() < 0.05, "alias mean");
+        let f0 = f64::from(zeros) / n as f64;
+        assert!((f0 - p).abs() < 0.005, "alias P(0) = {f0}");
     }
 
     #[test]
@@ -1243,41 +1087,9 @@ mod tests {
         let mean = (0..n).map(|_| tiny.failures(&mut rng) as f64).sum::<f64>() / f64::from(n);
         let expect = (1.0 - 0.004) / 0.004;
         assert!((mean - expect).abs() / expect < 0.05, "tail mean {mean} vs {expect}");
-        // Stride and horizon semantics match the scalar sampler.
-        for _ in 0..1_000 {
-            if let Some(t) = GeometricAlias::new(0.3).next_success(&mut rng, 7, 10, 200) {
-                assert!((7..200).contains(&t) && (t - 7) % 10 == 0);
-            }
-        }
-    }
-
-    #[test]
-    fn geometric_batch_fill_matches_scalar_draws() {
-        let sampler = GeometricSampler::new(0.2);
-        let mut batch_rng = SmallRng::seed_from_u64(31);
-        let mut scalar_rng = SmallRng::seed_from_u64(31);
-        let mut batch = [0u64; 256];
-        sampler.fill_failures(&mut batch_rng, &mut batch);
-        for (i, &k) in batch.iter().enumerate() {
-            assert_eq!(Some(k), sampler.failures(&mut scalar_rng), "draw {i}");
-        }
-    }
-
-    #[test]
-    fn bernoulli_success_distribution_and_edges() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        // p = 1: immediate, no randomness consumed.
-        assert_eq!(sample_bernoulli_success(&mut rng, 1.0, 5, 10, 100), Some(5));
-        assert_eq!(sample_bernoulli_success(&mut rng, 1.0, 100, 10, 100), None);
-        // p = 0.5, stride 1: mean failures = (1-p)/p = 1.
-        let n = 100_000;
-        let total: u64 =
-            (0..n).map(|_| sample_bernoulli_success(&mut rng, 0.5, 0, 1, u64::MAX).unwrap()).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 1.0).abs() < 0.02, "mean failures {mean}");
         // Results honor the stride and the horizon.
         for _ in 0..1_000 {
-            if let Some(t) = sample_bernoulli_success(&mut rng, 0.3, 7, 10, 200) {
+            if let Some(t) = GeometricAlias::new(0.3).next_success(&mut rng, 7, 10, 200) {
                 assert!((7..200).contains(&t) && (t - 7) % 10 == 0);
             }
         }

@@ -9,8 +9,8 @@
 //!   a bucketed timing-wheel queue with deterministic FIFO
 //!   tie-breaking (O(1) schedule/pop; the binary-heap reference model
 //!   is kept as [`event::HeapEventQueue`] for differential testing),
-//!   cached geometric think-timer sampling
-//!   ([`event::GeometricSampler`]), plus the [`event::EngineKind`] knob
+//!   constant-time alias-table think-timer sampling
+//!   ([`event::GeometricAlias`]), plus the [`event::EngineKind`] knob
 //!   selecting cycle-stepped vs event-driven execution.
 //! * [`bits`] — dense fixed-capacity bitsets for hot engine state
 //!   (ascending-order iteration matching the arbitration candidate

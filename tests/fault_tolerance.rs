@@ -8,10 +8,10 @@ use std::process::Command;
 
 use busnet::core::params::BusPolicy;
 use busnet::core::scenario::{
-    run_sweep_with, BusSimEval, Evaluator, OnFailure, Scenario, ScenarioGrid, SimBudget,
-    Supervisor, SweepOptions, SweepRecord, UnitStatus,
+    run_sweep_with, BusSimEval, CrossbarSimEval, Evaluator, OnFailure, Scenario, ScenarioGrid,
+    SimBudget, Supervisor, SweepOptions, SweepRecord, UnitStatus,
 };
-use busnet::core::sim::bus::UnitBudget;
+use busnet::core::sim::bus::{EngineKind, UnitBudget};
 use busnet::core::CoreError;
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::fault::{silence_injected_panics, FaultPlan, FaultSite};
@@ -259,6 +259,42 @@ fn budget_watchdog_trips_and_is_otherwise_invisible() {
     }
 }
 
+/// Both crossbar engines check the unit budget between slices of the
+/// run, as the bus engines do: a runaway unit stops within one slice
+/// instead of after its whole run, and a roomy budget is bit-invisible.
+#[test]
+fn crossbar_budget_trips_mid_run_on_both_engines() {
+    let scenarios = ScenarioGrid::new().n_values([64]).m_values([64]).r_values([8]).scenarios();
+    let scenarios = scenarios.unwrap();
+    for engine in [EngineKind::Cycle, EngineKind::Event] {
+        let eval = CrossbarSimEval::new(SimBudget { engine, ..SimBudget::sweep() });
+        let full = eval.evaluate(&scenarios[0]).unwrap();
+        let evaluators: [&dyn Evaluator; 1] = [&eval];
+        let run = |max_events: u64| {
+            let sup = Supervisor {
+                max_retries: 0,
+                backoff_base_ms: 0,
+                on_failure: OnFailure::Skip,
+                unit_budget: Some(UnitBudget { max_events: Some(max_events), max_millis: None }),
+            };
+            let options =
+                SweepOptions { supervise: Some(&sup), ..SweepOptions::new(ExecutionMode::Serial) };
+            run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {}).remove(0)
+        };
+        match run(1_000).result {
+            Err(CoreError::BudgetExceeded { what: "events", used, limit: 1_000 }) => assert!(
+                used < full.simulated_events / 10,
+                "{engine:?}: tripped after {used} of {} events",
+                full.simulated_events
+            ),
+            other => panic!("{engine:?}: expected an events overrun, got {other:?}"),
+        }
+        let roomy = run(u64::MAX / 2);
+        assert_eq!(roomy.status, UnitStatus::Ok);
+        assert_eq!(roomy.result.unwrap(), full, "{engine:?}: an untripped budget changed the run");
+    }
+}
+
 fn busnet(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_busnet")).args(args).output().expect("spawns")
 }
@@ -392,6 +428,36 @@ fn cli_chaos_sweep_survives_and_matches() {
         }
     }
     assert!(survivors > 0, "some rows must survive at rate 0.45 with retries");
+}
+
+/// A NaN, infinite or negative EBW is a failed row, never a number:
+/// the approximation's NaN at n = 160, m = 256 once streamed as an `ok`
+/// row with EBW `NaN` and went into the cache journal.
+#[test]
+fn non_finite_ebw_is_a_failed_row_and_never_cached() {
+    let dir = std::env::temp_dir().join(format!("busnet-nan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let point = ["--n", "160", "--m", "256", "--r", "8", "--policy", "mem"];
+    let cache = ["--cache-dir", dir.to_str().unwrap()];
+    for format in ["csv", "json"] {
+        let mut args = vec!["sweep", "--evaluator", "approx,approx-sym", "--format", format];
+        args.extend(point);
+        args.extend(cache);
+        let out = busnet(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "failed rows exit 1:\n{stderr}");
+        // No cell or JSON value is a non-finite number (the error
+        // text may name one).
+        for bad in [",NaN", ":NaN", ",inf", ":inf", ",-inf", ":-inf"] {
+            assert!(!stdout.contains(bad), "{stdout}");
+        }
+        assert_eq!(stdout.matches("failed").count(), 2, "{stdout}");
+        assert_eq!(stderr.matches("not a finite non-negative number").count(), 2, "{stderr}");
+    }
+    let journal = std::fs::read_to_string(dir.join("evalcache.jsonl")).unwrap_or_default();
+    assert!(journal.is_empty(), "a failed result reached the journal: {journal}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// No hostile CLI input may reach a panic or an abort: every parse

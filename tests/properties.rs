@@ -9,7 +9,10 @@ use busnet::core::json::escape;
 use busnet::core::metrics::Metrics;
 use busnet::core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use busnet::core::scenario::spec::{self, Flags, MAX_REPLICATIONS, MAX_SWEEP_POINTS};
-use busnet::core::scenario::{Scenario, SimBudget, Stopping, ALL_EVALUATOR_KINDS};
+use busnet::core::scenario::{
+    run_sweep_with, Evaluator, EvaluatorKind, Scenario, SimBudget, Stopping, SweepOptions,
+    UnitStatus, ALL_EVALUATOR_KINDS,
+};
 use busnet::core::serve::{parse_request, Request};
 use busnet::core::sim::bus::BusSimBuilder;
 use busnet::core::sim::service::ServiceTime;
@@ -216,7 +219,10 @@ proptest! {
     /// scenario is out of domain exactly when evaluating it returns the
     /// evaluator's typed `UnsupportedScenario`. The sweep planner
     /// settles each pair's domain through `supports()` alone, so this
-    /// keeps planned and evaluated domains identical.
+    /// keeps planned and evaluated domains identical. Every result that
+    /// does come back carries a finite EBW ≥ 0, and an analytic one at
+    /// constant memory service at most `n` (a simulated geometric
+    /// service can legally beat the `r`-cycle round trip).
     #[test]
     fn supports_agrees_with_evaluate(
         n in 1u32..9,
@@ -255,7 +261,46 @@ proptest! {
                 evaluator.supports(&scenario),
                 result.map(|e| e.ebw())
             );
+            if let Ok(e) = &result {
+                let ebw = e.ebw();
+                prop_assert!(
+                    ebw.is_finite() && ebw >= 0.0,
+                    "{} @ {}: EBW {ebw}",
+                    kind.name(),
+                    scenario.label()
+                );
+                let simulated = matches!(kind, EvaluatorKind::Sim | EvaluatorKind::CrossbarSim);
+                prop_assert!(
+                    simulated || geometric || ebw <= f64::from(scenario.params.n()) + 1e-9,
+                    "{} @ {}: EBW {ebw} > n",
+                    kind.name(),
+                    scenario.label()
+                );
+            }
         }
+    }
+}
+
+/// The drawn systems above are small; at n = 160, m = 256 the
+/// approximations' EBW is NaN. A sweep turns that into a typed failure
+/// rather than an `ok` record carrying the NaN.
+#[test]
+fn sweep_fails_the_approximations_nan_point() {
+    let params = SystemParams::new(160, 256, 8).unwrap();
+    let scenarios = [Scenario::new(params).with_policy(BusPolicy::MemoryPriority)];
+    let budget = SimBudget::quick();
+    let evaluators: Vec<_> =
+        [EvaluatorKind::Approx, EvaluatorKind::ApproxSymmetric].map(|k| k.build(budget)).into();
+    let refs: Vec<&dyn Evaluator> = evaluators.iter().map(|e| e.as_ref()).collect();
+    let options = SweepOptions::new(ExecutionMode::Serial);
+    for record in run_sweep_with(&scenarios, &refs, &options, |_, _, _| {}) {
+        assert_eq!(record.status, UnitStatus::Failed, "{}", record.evaluator);
+        assert!(
+            matches!(&record.result, Err(CoreError::InvalidResult { ebw, .. }) if ebw == "NaN"),
+            "{}: {:?}",
+            record.evaluator,
+            record.result.as_ref().map(|e| e.ebw())
+        );
     }
 }
 

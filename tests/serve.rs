@@ -197,6 +197,20 @@ fn bad_requests_earn_structured_errors_and_the_connection_survives() {
             "failed",
             "does not support",
         ),
+        // An EBW past the approximation's numeric range once came back
+        // as `"ebw":NaN`, which is not JSON.
+        (
+            r#"{"id":16,"scenario":{"n":160,"m":256,"r":8,"policy":"mem"},"evaluator":"approx"}"#,
+            "failed",
+            "not a finite non-negative number",
+        ),
+        // A crossbar run far past its unit budget once ran to the end
+        // before failing; it now stops within one slice.
+        (
+            r#"{"id":17,"scenario":{"n":8192,"m":8192,"r":8},"evaluator":"crossbar-sim","unit_budget":{"events":1000}}"#,
+            "failed",
+            "unit budget exceeded",
+        ),
     ];
     for (request, status, needle) in cases {
         client.send(request);
