@@ -260,9 +260,17 @@ mod tests {
         /// Booleans draw from the ANY strategy.
         #[test]
         fn bools_draw(flag in crate::bool::ANY) {
-            prop_assert!(flag || !flag);
             prop_assert_eq!(flag as u8 <= 1, true);
         }
+    }
+
+    #[test]
+    fn bool_any_draws_both_values() {
+        use crate::strategy::Strategy;
+        use crate::test_runner::TestRng;
+        let mut rng = TestRng::from_name("bools");
+        let draws: Vec<bool> = (0..64).map(|_| crate::bool::ANY.pick(&mut rng)).collect();
+        assert!(draws.contains(&true) && draws.contains(&false), "{draws:?}");
     }
 
     #[test]

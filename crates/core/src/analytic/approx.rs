@@ -12,7 +12,7 @@
 //! (n* = min(n,m), m* = max(n,m))"; Table 2 prints the plain
 //! (non-symmetric) variant. Both are available here.
 
-use busnet_markov::combinatorics::distinct_cells_pmf;
+use busnet_markov::combinatorics::distinct_cells_distribution;
 
 use crate::analytic::occupancy::Discipline;
 use crate::analytic::pfqn::pfqn_ebw_deterministic;
@@ -74,7 +74,7 @@ impl ApproxModel {
     /// requested, indexed `0..=min(n,m)`.
     pub fn busy_distribution(&self) -> Vec<f64> {
         let (n, m) = self.effective_nm();
-        (0..=n.min(m)).map(|x| distinct_cells_pmf(n, m, x)).collect()
+        distinct_cells_distribution(n, m)
     }
 
     /// Effective bandwidth in requests per processor cycle.

@@ -6,7 +6,7 @@
 //! (reference 1) whose cycle equals one processor cycle, so its
 //! bandwidth (requests per crossbar cycle) is directly an EBW.
 
-use busnet_markov::combinatorics::distinct_cells_pmf;
+use busnet_markov::combinatorics::distinct_cells_distribution;
 
 use crate::analytic::occupancy::{Discipline, OccupancyChain};
 use crate::error::CoreError;
@@ -55,7 +55,7 @@ pub fn crossbar_ebw_strecker(n: u32, m: u32) -> f64 {
 /// requests — the crossbar analog of the §3.2 model. Equal to
 /// [`crossbar_ebw_strecker`] analytically; provided for cross-checks.
 pub fn crossbar_ebw_combinational(n: u32, m: u32) -> f64 {
-    (0..=n.min(m)).map(|x| f64::from(x) * distinct_cells_pmf(n, m, x)).sum()
+    distinct_cells_distribution(n, m).iter().enumerate().map(|(x, p)| x as f64 * p).sum()
 }
 
 #[cfg(test)]

@@ -1254,24 +1254,18 @@ impl Evaluator for BusSimEval {
         // to an unbudgeted one.
         let seeds = SeedSequence::new(self.budget.master_seed);
         let watchdog = budget.copied().unwrap_or_default();
-        match self.budget.adaptive_plan(prior) {
-            None => {
-                let report = self
-                    .builder_for(scenario, seeds.stream(u64::from(unit)))
-                    .run_budgeted(&watchdog)?;
-                Ok(EvalUnit::Replication(Box::new(report)))
-            }
-            Some(plan) => {
-                debug_assert_eq!(unit, 0, "adaptive runs are a single unit");
-                let outcome = self
-                    .builder_for(scenario, seeds.stream(0))
-                    .run_adaptive_budgeted(&plan, &watchdog)?;
-                let mut evaluation = self.aggregate_reports(scenario, vec![outcome.report]);
-                evaluation.half_width_95 = outcome.half_width_95;
-                evaluation.replications = outcome.batches.min(u64::from(u32::MAX)) as u32;
-                Ok(EvalUnit::Whole(Box::new(evaluation)))
-            }
+        let plan = self.budget.adaptive_plan(prior);
+        debug_assert!(plan.is_none() || unit == 0, "adaptive runs are a single unit");
+        let outcome = self
+            .builder_for(scenario, seeds.stream(u64::from(unit)))
+            .run_budgeted(&watchdog, plan.as_ref())?;
+        if plan.is_none() {
+            return Ok(EvalUnit::Replication(Box::new(outcome.report)));
         }
+        let mut evaluation = self.aggregate_reports(scenario, vec![outcome.report]);
+        evaluation.half_width_95 = outcome.half_width_95;
+        evaluation.replications = outcome.batches.min(u64::from(u32::MAX)) as u32;
+        Ok(EvalUnit::Whole(Box::new(evaluation)))
     }
 
     fn combine_units(
@@ -1307,7 +1301,8 @@ impl Evaluator for BusSimEval {
 
 /// The synchronous crossbar simulator baseline (handles `p < 1`, where
 /// the exact crossbar chain does not). Honors the scenario's
-/// arbitration kind; ignores policy, buffering, and service overrides.
+/// arbitration kind; ignores policy, buffering, service overrides and
+/// the budget's engine (the crossbar runs cycle-stepped).
 #[derive(Clone, Copy, Debug)]
 pub struct CrossbarSimEval {
     /// RNG seed.
@@ -1316,21 +1311,17 @@ pub struct CrossbarSimEval {
     pub warmup: u64,
     /// Measured cycles (crossbar cycles).
     pub measure: u64,
-    /// Simulation engine (cycle-stepped vs event-driven).
-    pub engine: EngineKind,
 }
 
 impl CrossbarSimEval {
-    /// An evaluator drawing its seed, engine, and cycle counts from
-    /// `budget` (one processor-cycle step per `r + 2` bus cycles, so
-    /// the warmup is scaled down by 10 as in the paper-reproduction
-    /// runners).
+    /// An evaluator drawing its seed and cycle counts from `budget`
+    /// (one processor-cycle step per `r + 2` bus cycles, so the warmup
+    /// is scaled down by 10 as in the paper-reproduction runners).
     pub fn new(budget: SimBudget) -> Self {
         CrossbarSimEval {
             seed: budget.master_seed ^ 0xF16,
             warmup: (budget.warmup / 10).max(100),
             measure: budget.measure,
-            engine: budget.engine,
         }
     }
 
@@ -1348,7 +1339,6 @@ impl CrossbarSimEval {
         let mut sim = CrossbarSim::new(scenario.params)
             .arbitration(scenario.arbitration)
             .workload(scenario.workload.clone())
-            .engine(self.engine)
             .seed(self.seed)
             .warmup_cycles(self.warmup)
             .measure_cycles(self.measure);
@@ -1374,13 +1364,14 @@ impl Evaluator for CrossbarSimEval {
     }
 
     fn config_fingerprint(&self) -> String {
+        // `engine=cycle` stays in the string so journals written before
+        // the crossbar lost its event engine still replay.
         format!(
-            "{}:seed={:016x}:warmup={}:measure={}:engine={}",
+            "{}:seed={:016x}:warmup={}:measure={}:engine=cycle",
             self.name(),
             self.seed,
             self.warmup,
             self.measure,
-            self.engine.name(),
         )
     }
 

@@ -5,7 +5,7 @@
 //! processor the same think probability `p`. The
 //! [`Workload`] axis relaxes both; this
 //! module holds the machinery every engine (cycle bus, event bus, and
-//! both crossbar engines) samples through:
+//! cycle crossbar) samples through:
 //!
 //! * `ModuleSampler` — O(1) module-target draws. The uniform path is
 //!   the legacy `gen_range(0..m)` call (bit-identical to the
@@ -14,7 +14,7 @@
 //!   ([`busnet_sim::event::CategoricalAlias`]) whose draw cost is
 //!   independent of the skew.
 //! * `ThinkSampler` — per-processor geometric think timers for the
-//!   event engines: one shared [`GeometricAlias`] table when thinking
+//!   event engine: one shared [`GeometricAlias`] table when thinking
 //!   is homogeneous (the bit-identical legacy path), one table per
 //!   processor under [`Workload::Heterogeneous`].
 

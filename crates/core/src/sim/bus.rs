@@ -415,23 +415,35 @@ impl BusSimBuilder {
 
     /// Builds and runs the configured engine to completion.
     pub fn run(self) -> SimReport {
-        match self.engine {
-            EngineKind::Cycle => self.build().run(),
-            EngineKind::Event => self.build_event().run(),
-        }
+        self.run_budgeted(&UnitBudget::default(), None)
+            .expect("an unlimited budget cannot trip")
+            .report
     }
 
-    /// Builds the configured engine and runs it **adaptively**: one
-    /// long run extended batch by batch until the 95% confidence
-    /// half-width of the batch-means EBW estimate reaches
-    /// [`AdaptivePlan::ci_width`], or the cycle budget
-    /// ([`AdaptivePlan::max_measure`]) is exhausted. The builder's own
-    /// `measure_cycles` is ignored in favor of the plan's budget.
+    /// Builds the configured engine and runs it through the shared
+    /// slicing loop: under a [`UnitBudget`] watchdog, checked between
+    /// slices of the run (and after each batch), and, given a `plan`,
+    /// **adaptively**: one long run extended batch by batch until the
+    /// 95% confidence half-width of the batch-means EBW estimate
+    /// reaches [`AdaptivePlan::ci_width`], or the cycle budget
+    /// ([`AdaptivePlan::max_measure`]) is exhausted. An adaptive run
+    /// ignores the builder's own `measure_cycles` in favor of the plan's
+    /// budget.
     ///
-    /// Compared to fixed independent replications this pays warmup
-    /// once and escapes the small-sample Student-t penalty, so it
+    /// Compared to fixed independent replications an adaptive run pays
+    /// warmup once and escapes the small-sample Student-t penalty, so it
     /// reaches the same precision with far fewer simulated events; the
     /// stopping rule is `busnet_sim::batch::SequentialStopping`.
+    ///
+    /// The checks draw no randomness: a run that stays inside its
+    /// budget is **bit-identical** to the unbudgeted run, and with an
+    /// unlimited budget and no plan the engine runs whole. A fixed run
+    /// (no plan) carries no estimate: `batches` is 0, `half_width_95`
+    /// is infinite and `converged` is false.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BudgetExceeded`] when a ceiling trips.
     ///
     /// # Panics
     ///
@@ -439,117 +451,151 @@ impl BusSimBuilder {
     /// `min_batches < 2`, or `max_measure < batch_cycles`), or on the
     /// same invalid-configuration conditions as
     /// [`BusSimBuilder::build`].
-    pub fn run_adaptive(self, plan: &AdaptivePlan) -> AdaptiveOutcome {
-        self.run_adaptive_budgeted(plan, &UnitBudget::default())
-            .expect("an unlimited budget cannot trip")
-    }
-
-    /// [`BusSimBuilder::run`] under a [`UnitBudget`] watchdog: the run
-    /// advances in slices and is cut off with
-    /// [`CoreError::BudgetExceeded`] when the event or wall-clock
-    /// ceiling trips between slices. A run that stays inside its budget
-    /// produces a report **bit-identical** to [`BusSimBuilder::run`] —
-    /// slice-advancing an engine and running it whole are the same
-    /// computation.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BudgetExceeded`] when a ceiling trips.
-    ///
-    /// # Panics
-    ///
-    /// On the same invalid-configuration conditions as
-    /// [`BusSimBuilder::build`].
-    pub fn run_budgeted(self, budget: &UnitBudget) -> Result<SimReport, CoreError> {
-        if budget.is_unlimited() {
-            return Ok(self.run());
-        }
-        let total = self.warmup + self.measure;
-        let mut engine = match self.engine {
-            EngineKind::Cycle => EngineRun::Cycle(Box::new(self.build())),
-            EngineKind::Event => EngineRun::Event(Box::new(self.build_event())),
-        };
-        let start = std::time::Instant::now();
-        let slice = UnitBudget::slice_cycles(total);
-        let mut t = 0u64;
-        while t < total {
-            let t_next = (t + slice).min(total);
-            engine.advance_until(t_next);
-            t = t_next;
-            budget.check(engine.events(), &start)?;
-        }
-        Ok(engine.finish_at(total))
-    }
-
-    /// [`BusSimBuilder::run_adaptive`] under a [`UnitBudget`] watchdog,
-    /// checked once per batch. A run that stays inside its budget is
-    /// bit-identical to the unbudgeted adaptive run.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BudgetExceeded`] when a ceiling trips.
-    ///
-    /// # Panics
-    ///
-    /// As [`BusSimBuilder::run_adaptive`].
-    pub fn run_adaptive_budgeted(
+    pub fn run_budgeted(
         self,
-        plan: &AdaptivePlan,
         budget: &UnitBudget,
+        plan: Option<&AdaptivePlan>,
     ) -> Result<AdaptiveOutcome, CoreError> {
-        assert!(plan.batch_cycles > 0, "batch_cycles must be positive");
-        assert!(plan.min_batches >= 2, "need at least 2 batches for a variance estimate");
-        assert!(plan.max_measure >= plan.batch_cycles, "budget smaller than one batch");
-        let start = std::time::Instant::now();
-        let warmup = self.warmup;
-        let rc = f64::from(self.params.processor_cycle());
-        let builder = self.measure_cycles(plan.max_measure);
-        let mut engine = match builder.engine {
-            EngineKind::Cycle => EngineRun::Cycle(Box::new(builder.build())),
-            EngineKind::Event => EngineRun::Event(Box::new(builder.build_event())),
-        };
-        let mut stop = match plan.prior {
-            Some(seed) => SequentialStopping::with_prior(
-                plan.ci_width,
-                plan.min_batches,
-                seed.ebw,
-                seed.trust,
-            ),
-            None => SequentialStopping::new(plan.ci_width, plan.min_batches),
-        };
-        engine.advance_until(warmup);
-        budget.check(engine.events(), &start)?;
-        let end = warmup + plan.max_measure;
-        let mut prev_returns = 0u64;
-        let mut t = warmup;
-        let mut converged = false;
-        while t < end {
-            let t_next = (t + plan.batch_cycles).min(end);
-            engine.advance_until(t_next);
-            budget.check(engine.events(), &start)?;
-            let returns = engine.measured_returns();
-            stop.record_batch((returns - prev_returns) as f64 * rc / (t_next - t) as f64);
-            prev_returns = returns;
-            t = t_next;
-            if stop.satisfied() {
-                converged = true;
-                break;
+        let mut builder = self;
+        let mut stop = plan.map(|plan| {
+            assert!(plan.batch_cycles > 0, "batch_cycles must be positive");
+            assert!(plan.min_batches >= 2, "need at least 2 batches for a variance estimate");
+            assert!(plan.max_measure >= plan.batch_cycles, "budget smaller than one batch");
+            builder.measure = plan.max_measure;
+            match plan.prior {
+                Some(seed) => SequentialStopping::with_prior(
+                    plan.ci_width,
+                    plan.min_batches,
+                    seed.ebw,
+                    seed.trust,
+                ),
+                None => SequentialStopping::new(plan.ci_width, plan.min_batches),
             }
-        }
-        Ok(AdaptiveOutcome {
-            report: engine.finish_at(t),
-            batches: stop.batches(),
-            half_width_95: stop.half_width_95(),
-            converged,
+        });
+        let rc = f64::from(builder.params.processor_cycle());
+        let batches = plan.zip(stop.as_mut()).map(|(plan, stop)| Batches {
+            cycles: plan.batch_cycles,
+            rc,
+            stop,
+        });
+        let (warmup, total) = (builder.warmup, builder.warmup + builder.measure);
+        let report = match builder.engine {
+            EngineKind::Cycle => run_sliced(builder.build(), warmup, total, budget, batches)?,
+            EngineKind::Event => run_sliced(builder.build_event(), warmup, total, budget, batches)?,
+        };
+        Ok(match stop {
+            Some(stop) => AdaptiveOutcome {
+                report,
+                batches: stop.batches(),
+                half_width_95: stop.half_width_95(),
+                converged: stop.satisfied(),
+            },
+            None => AdaptiveOutcome {
+                report,
+                batches: 0,
+                half_width_95: f64::INFINITY,
+                converged: false,
+            },
         })
     }
 }
 
+/// The advance/finish protocol of the three engines — the cycle bus
+/// ([`BusSim`]), the event bus ([`EventBusSim`]) and the cycle crossbar
+/// — which [`run_sliced`] drives.
+pub(crate) trait SlicedEngine {
+    /// What the closed run reports.
+    type Report;
+    /// Simulates every cycle before `t` (clamped to the configured
+    /// total); splitting a run into several calls changes nothing.
+    fn advance_until(&mut self, t: u64);
+    /// Units of engine work done so far (the budget's event metric).
+    fn events(&self) -> u64;
+    /// Returns delivered during measurement so far.
+    fn measured_returns(&self) -> u64;
+    /// Closes the run at cycle `t` (exclusive) and builds the report.
+    fn finish_at(self, t: u64) -> Self::Report;
+}
+
+macro_rules! bus_engine {
+    ($engine:ty) => {
+        impl SlicedEngine for $engine {
+            type Report = SimReport;
+            fn advance_until(&mut self, t: u64) {
+                <$engine>::advance_until(self, t)
+            }
+            fn events(&self) -> u64 {
+                <$engine>::events(self)
+            }
+            fn measured_returns(&self) -> u64 {
+                <$engine>::measured_returns(self)
+            }
+            fn finish_at(self, t: u64) -> SimReport {
+                <$engine>::finish_at(self, t)
+            }
+        }
+    };
+}
+bus_engine!(BusSim);
+bus_engine!(EventBusSim);
+
+/// An adaptive run's batching: after the warmup, each `cycles`-cycle
+/// batch's EBW (`returns · rc / cycles`) feeds `stop`.
+pub(crate) struct Batches<'a> {
+    cycles: u64,
+    rc: f64,
+    stop: &'a mut SequentialStopping,
+}
+
+/// The one slicing loop: advances `engine` over its `total` cycles to
+/// the next slice or batch boundary, checks `budget` there, and feeds
+/// the stopping rule at each batch end, closing the run early once the
+/// rule is satisfied. Slices are `max(total/64, 1024)` cycles, so a
+/// runaway run stops within one slice; an unlimited budget needs no
+/// slices, and a run without batches then advances whole in one call.
+///
+/// # Errors
+///
+/// [`CoreError::BudgetExceeded`] when a ceiling trips.
+pub(crate) fn run_sliced<E: SlicedEngine>(
+    mut engine: E,
+    warmup: u64,
+    total: u64,
+    budget: &UnitBudget,
+    mut batches: Option<Batches<'_>>,
+) -> Result<E::Report, CoreError> {
+    // Nothing to check and nothing to stop for: the engine runs whole.
+    if budget.is_unlimited() && batches.is_none() {
+        engine.advance_until(total);
+        return Ok(engine.finish_at(total));
+    }
+    let start = std::time::Instant::now();
+    let slice = if budget.is_unlimited() { total.max(1) } else { UnitBudget::slice_cycles(total) };
+    let (mut batch_start, mut batch_returns) = (warmup, 0u64);
+    let mut next_batch = batches.as_ref().map(|b| warmup.saturating_add(b.cycles).min(total));
+    let mut t = 0u64;
+    while t < total {
+        let next_slice = t.saturating_add(slice - t % slice).min(total);
+        t = next_batch.map_or(next_slice, |b| b.min(next_slice));
+        engine.advance_until(t);
+        budget.check(engine.events(), &start)?;
+        if let Some(b) = batches.as_mut().filter(|_| next_batch == Some(t)) {
+            let returns = engine.measured_returns();
+            b.stop.record_batch((returns - batch_returns) as f64 * b.rc / (t - batch_start) as f64);
+            if b.stop.satisfied() {
+                break;
+            }
+            (batch_start, batch_returns) = (t, returns);
+            next_batch = Some(t.saturating_add(b.cycles).min(total));
+        }
+    }
+    Ok(engine.finish_at(t))
+}
+
 /// Event / wall-clock ceilings for one supervised work unit; the
 /// default is unlimited on both axes. Enforced between engine slices by
-/// [`BusSimBuilder::run_budgeted`] / [`BusSimBuilder::run_adaptive_budgeted`]
-/// and by both crossbar engines, and re-checked generically by the
-/// sweep supervisor after each attempt.
+/// the slicing loop every bus and crossbar run goes through, and
+/// re-checked generically by the sweep supervisor after each attempt.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnitBudget {
     /// Ceiling on simulation events processed by one unit.
@@ -592,7 +638,8 @@ impl UnitBudget {
     }
 }
 
-/// Budget and stopping parameters of [`BusSimBuilder::run_adaptive`].
+/// Budget and stopping parameters of an adaptive
+/// [`BusSimBuilder::run_budgeted`] run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptivePlan {
     /// Target 95% half-width of the EBW estimate.
@@ -636,42 +683,6 @@ pub struct AdaptiveOutcome {
     pub half_width_95: f64,
     /// Whether the target width was reached within the budget.
     pub converged: bool,
-}
-
-/// Engine-dispatch shim for incremental (batch-by-batch) execution.
-enum EngineRun {
-    Cycle(Box<BusSim>),
-    Event(Box<EventBusSim>),
-}
-
-impl EngineRun {
-    fn advance_until(&mut self, t: u64) {
-        match self {
-            EngineRun::Cycle(sim) => sim.run_until(t),
-            EngineRun::Event(sim) => sim.advance_until(t),
-        }
-    }
-
-    fn measured_returns(&self) -> u64 {
-        match self {
-            EngineRun::Cycle(sim) => sim.measured_returns(),
-            EngineRun::Event(sim) => sim.measured_returns(),
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            EngineRun::Cycle(sim) => sim.events(),
-            EngineRun::Event(sim) => sim.events(),
-        }
-    }
-
-    fn finish_at(self, t: u64) -> SimReport {
-        match self {
-            EngineRun::Cycle(sim) => sim.finish_at(t),
-            EngineRun::Event(sim) => sim.finish_at(t),
-        }
-    }
 }
 
 /// The fraction of module-cycles an input FIFO of depth `depth` sat
@@ -763,13 +774,13 @@ impl BusSim {
     /// Runs warmup + measurement and returns the report.
     pub fn run(mut self) -> SimReport {
         let total = self.stats.window().total_cycles();
-        self.run_until(total);
+        self.advance_until(total);
         self.finish_at(total)
     }
 
     /// Steps until cycle `t` (clamped to the configured total) — the
-    /// incremental entry point batch-by-batch adaptive runs use.
-    pub fn run_until(&mut self, t: u64) {
+    /// incremental entry point of the slicing loop.
+    pub fn advance_until(&mut self, t: u64) {
         let limit = t.min(self.stats.window().total_cycles());
         while self.cycle < limit {
             self.step();

@@ -8,12 +8,10 @@
 //! Served processors re-request with probability `p` per subsequent
 //! cycle.
 //!
-//! Like the single-bus simulator, the crossbar runs on either engine
-//! ([`CrossbarSim::engine`]): the cycle-stepped reference, or the
-//! event-driven port where think timers are pre-sampled geometric
-//! events and fully idle cycles (no requester anywhere) are skipped.
-//! Both share the kernel's warmup-gated counters
-//! (`busnet_sim::counters`).
+//! The crossbar runs cycle-stepped only: nearly every cycle has a
+//! requester, so an event-driven port would skip almost nothing. It
+//! shares the kernel's warmup-gated counters (`busnet_sim::counters`)
+//! and the bus engines' slicing loop (`run_sliced` in `sim::bus`).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,18 +19,15 @@ use rand::{Rng, SeedableRng};
 use busnet_sim::arbiter::Arbiter;
 use busnet_sim::clock::MeasurementWindow;
 use busnet_sim::counters::{SimCounters, WindowSeries};
-use busnet_sim::event::EventQueue;
 use busnet_sim::histogram::Histogram;
-use busnet_sim::seeds::SeedSequence;
 use busnet_sim::stats::jain_fairness_index;
 
 use crate::error::CoreError;
 use crate::params::{SystemParams, Workload};
-use crate::sim::address::{MmppState, ModuleSampler, ThinkSampler};
-use crate::sim::bus::UnitBudget;
+use crate::sim::address::{MmppState, ModuleSampler};
+use crate::sim::bus::{run_sliced, SlicedEngine, UnitBudget};
 
 pub use busnet_sim::arbiter::ArbitrationKind;
-pub use busnet_sim::event::EngineKind;
 
 /// Builder/runner for the crossbar (and multiple-bus) baseline.
 ///
@@ -55,7 +50,6 @@ pub struct CrossbarSim {
     params: SystemParams,
     buses: Option<u32>,
     arbitration: ArbitrationKind,
-    engine: EngineKind,
     workload: Workload,
     seed: u64,
     warmup: u64,
@@ -72,8 +66,8 @@ pub struct CrossbarReport {
     pub measured_cycles: u64,
     /// Requests served per processor (fairness analysis).
     pub per_processor_served: Vec<u64>,
-    /// Units of engine work executed (events processed by the event
-    /// engine, cycles stepped by the cycle engine; not warmup gated).
+    /// Units of engine work executed (cycles stepped; not warmup
+    /// gated).
     pub events: u64,
     /// Windowed transient telemetry (`None` unless the run was built
     /// with [`CrossbarSim::window_cycles`]).
@@ -104,7 +98,6 @@ impl CrossbarSim {
             params,
             buses: None,
             arbitration: ArbitrationKind::Random,
-            engine: EngineKind::Cycle,
             workload: Workload::Uniform,
             seed: 0x5EED,
             warmup: 1_000,
@@ -137,12 +130,6 @@ impl CrossbarSim {
         self
     }
 
-    /// Selects the simulation engine (cycle-stepped vs event-driven).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -169,324 +156,170 @@ impl CrossbarSim {
         self
     }
 
-    fn counters(&self) -> SimCounters {
-        // The crossbar records no waiting times; a minimal histogram
-        // keeps the shared counter shape.
-        let stats = SimCounters::new(
-            MeasurementWindow::new(self.warmup, self.measure),
-            self.params.n() as usize,
-            Histogram::new(1.0, 1),
-        );
-        match self.window_cycles {
-            Some(width) => stats.with_windows(width),
-            None => stats,
-        }
-    }
-
     /// Runs and returns the EBW: mean requests served per cycle.
     pub fn run_ebw(&self) -> f64 {
         self.run_report().ebw()
     }
 
-    /// Runs the configured engine and returns the full report.
+    /// Runs to completion and returns the full report.
     pub fn run_report(&self) -> CrossbarReport {
         self.run_budgeted(&UnitBudget::default()).expect("an unlimited budget cannot trip")
     }
 
     /// [`CrossbarSim::run_report`] under a [`UnitBudget`] watchdog,
-    /// checked between slices of `max(total/64, 1024)` cycles as in
-    /// `BusSimBuilder::run_budgeted`. The checks draw no randomness, so
-    /// a run inside its budget is bit-identical to an unbudgeted one.
+    /// checked between slices of the run by the bus engines' slicing
+    /// loop. The checks draw no randomness, so a run inside its budget
+    /// is bit-identical to an unbudgeted one.
     pub(crate) fn run_budgeted(&self, budget: &UnitBudget) -> Result<CrossbarReport, CoreError> {
-        let watch = Watch::new(budget, self.warmup + self.measure);
-        let stats = match self.engine {
-            EngineKind::Cycle => self.run_cycle(watch)?,
-            EngineKind::Event => self.run_event(watch)?,
-        };
-        Ok(CrossbarReport {
-            served: stats.returns,
-            measured_cycles: stats.measured_cycles(),
-            events: stats.events,
-            windows: stats.window_series(),
-            per_processor_served: stats.per_entity_returns,
-        })
+        run_sliced(self.build(), self.warmup, self.warmup + self.measure, budget, None)
     }
 
-    /// The cycle-stepped reference engine: one pass per crossbar cycle.
-    fn run_cycle(&self, mut watch: Watch) -> Result<SimCounters, CoreError> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Phase {
-            Thinking,
-            Requesting(usize),
-        }
+    fn build(&self) -> CrossbarRun {
         self.workload.validate(self.params.n(), self.params.m()).expect("invalid workload");
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut arbiter = Arbiter::new(self.arbitration);
-        let mut stats = self.counters();
         let n = self.params.n() as usize;
         let m = self.params.m() as usize;
-        let p = self.params.p();
+        // The crossbar records no waiting times; a minimal histogram
+        // keeps the shared counter shape.
+        let mut stats = SimCounters::new(
+            MeasurementWindow::new(self.warmup, self.measure),
+            n,
+            Histogram::new(1.0, 1),
+        );
+        if let Some(width) = self.window_cycles {
+            stats = stats.with_windows(width);
+        }
         // Bursty workloads carry phase-chain state; the initial sampler
         // and think probabilities are phase 0's.
-        let mut mmpp = self.workload.mmpp_spec().map(|spec| {
+        let mmpp = self.workload.mmpp_spec().map(|spec| {
             MmppState::new(std::sync::Arc::clone(spec), self.params.n(), self.params.m())
         });
-        let mut sampler = match &mmpp {
+        let sampler = match &mmpp {
             Some(state) => state.module_sampler().clone(),
             None => ModuleSampler::for_workload(&self.workload, self.params.m()),
         };
-        let mut think_p: Vec<f64> = (0..n).map(|i| self.workload.think_probability(i, p)).collect();
-        let mut next_phase_tick = mmpp.as_ref().and_then(|state| state.next_boundary(0));
+        let next_phase_tick = mmpp.as_ref().and_then(|state| state.next_boundary(0));
         if let Some(state) = &mmpp {
             stats.record_phase(0, state.phase());
         }
-        let mut procs = vec![Phase::Thinking; n];
-        let mut requesters: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut busy: Vec<usize> = Vec::with_capacity(m);
-        for cycle in 0..stats.window().total_cycles() {
-            watch.at(cycle, stats.events)?;
-            stats.events += 1;
-            if next_phase_tick == Some(cycle) {
-                let state = mmpp.as_mut().expect("phase tick without a phase chain");
-                let phase = state.step(&mut rng);
-                think_p.fill(state.think_p());
-                sampler = state.module_sampler().clone();
-                stats.record_phase(cycle, phase);
-                next_phase_tick = state.next_boundary(cycle);
-            }
-            // Thinking processors flip the request coin.
-            for (i, proc) in procs.iter_mut().enumerate() {
-                let p = think_p[i];
-                if *proc == Phase::Thinking && (p >= 1.0 || rng.gen_bool(p)) {
-                    *proc = Phase::Requesting(sampler.sample(m, &mut rng));
-                }
-            }
-            // Gather per-module requester lists.
-            for list in &mut requesters {
-                list.clear();
-            }
-            for (i, proc) in procs.iter().enumerate() {
-                if let Phase::Requesting(j) = proc {
-                    requesters[*j].push(i);
-                }
-            }
-            busy.clear();
-            busy.extend((0..m).filter(|&j| !requesters[j].is_empty()));
-            // Bus cap: choose which busy modules may serve.
-            let cap = self.buses.map_or(busy.len(), |b| busy.len().min(b as usize));
-            // Partial Fisher–Yates: the first `cap` entries are a
-            // uniform subset.
-            for k in 0..cap {
-                let swap = rng.gen_range(k..busy.len());
-                busy.swap(k, swap);
-            }
-            for &j in &busy[..cap] {
-                let lucky = arbiter.pick(cycle, &requesters[j], &mut rng);
-                procs[lucky] = Phase::Thinking;
-                stats.record_served(cycle, lucky);
-            }
+        CrossbarRun {
+            buses: self.buses,
+            rng: SmallRng::seed_from_u64(self.seed),
+            arbiter: Arbiter::new(self.arbitration),
+            think_p: (0..n).map(|i| self.workload.think_probability(i, self.params.p())).collect(),
+            sampler,
+            mmpp,
+            next_phase_tick,
+            procs: vec![Phase::Thinking; n],
+            requesters: vec![Vec::new(); m],
+            busy: Vec::with_capacity(m),
+            cycle: 0,
+            stats,
         }
-        Ok(stats)
-    }
-
-    /// The event-driven engine: think timers become pre-sampled
-    /// geometric `request` events (drawn through an O(1)
-    /// [`GeometricAlias`] table), and cycles with no requester anywhere are
-    /// skipped entirely.
-    ///
-    /// The per-entity state is structure-of-arrays: one flat target
-    /// column (`NO_TARGET` = thinking) and a counting-sort scratch that
-    /// rebuilds the per-module requester lists as one flat array with
-    /// per-module extents — no per-module `Vec`s, no per-cycle
-    /// allocation, and the same ascending-processor order within each
-    /// module that the arbiter contract requires.
-    fn run_event(&self, mut watch: Watch) -> Result<SimCounters, CoreError> {
-        const NO_TARGET: u32 = u32::MAX;
-        self.workload.validate(self.params.n(), self.params.m()).expect("invalid workload");
-        let mut stats = self.counters();
-        let total = stats.window().total_cycles();
-        let n = self.params.n() as usize;
-        let m = self.params.m() as usize;
-        // Bursty workloads swap the current phase's pooled samplers at
-        // every boundary; think draws are capped there (the outgoing
-        // `p` is only valid up to the boundary) and capped processors
-        // park as dormant until re-drawn under the incoming phase —
-        // exact by memorylessness of the per-cycle coin.
-        let mut mmpp = self.workload.mmpp_spec().map(|spec| {
-            MmppState::new(std::sync::Arc::clone(spec), self.params.n(), self.params.m())
-        });
-        let mut think = match &mmpp {
-            Some(state) => state.think_sampler().clone(),
-            None => ThinkSampler::for_workload(&self.workload, self.params.n(), self.params.p()),
-        };
-        let mut sampler = match &mmpp {
-            Some(state) => state.module_sampler().clone(),
-            None => ModuleSampler::for_workload(&self.workload, self.params.m()),
-        };
-        let mut next_phase_tick = mmpp.as_ref().and_then(|state| state.next_boundary(0));
-        if let Some(state) = &mmpp {
-            stats.record_phase(0, state.phase());
-        }
-        let seeds = SeedSequence::new(self.seed);
-        let proc_seeds = seeds.child(0);
-        let mut proc_rngs: Vec<SmallRng> =
-            (0..n).map(|i| SmallRng::seed_from_u64(proc_seeds.stream(i as u64))).collect();
-        let mut service_rng = SmallRng::seed_from_u64(seeds.child(1).stream(0));
-        let mut phase_rng = SmallRng::seed_from_u64(seeds.child(2).stream(0));
-        let mut arbiter = Arbiter::new(self.arbitration);
-
-        // The cycle (≥ `from`) at which processor `i`'s per-cycle
-        // Bernoulli(p_i) coin first succeeds, sampled in one geometric
-        // draw; `None` once beyond the horizon (the run's end, or the
-        // next phase boundary under a bursty workload).
-        let horizon = |next_phase_tick: Option<u64>| -> u64 {
-            next_phase_tick.map_or(total, |boundary| total.min(boundary))
-        };
-        let sample_request =
-            |think: &ThinkSampler,
-             i: usize,
-             from: u64,
-             rngs: &mut Vec<SmallRng>,
-             horizon: u64|
-             -> Option<u64> { think.next_success(i, &mut rngs[i], from, 1, horizon) };
-
-        // A requesting processor's pending target (`NO_TARGET` while
-        // thinking). `dormant[i]` marks a thinker whose draw was capped
-        // by a phase boundary (stride is 1, so re-draws anchor at the
-        // boundary itself).
-        let mut target: Vec<u32> = vec![NO_TARGET; n];
-        let mut dormant: Vec<bool> = vec![false; n];
-        let boundary_capped =
-            |next_phase_tick: Option<u64>| next_phase_tick.is_some_and(|b| b < total);
-        let mut requesting = 0usize;
-        let mut queue: EventQueue<usize> = EventQueue::with_capacity(n);
-        for (i, slot) in dormant.iter_mut().enumerate() {
-            match sample_request(&think, i, 0, &mut proc_rngs, horizon(next_phase_tick)) {
-                Some(t) => queue.schedule(t, i),
-                None => *slot = boundary_capped(next_phase_tick),
-            }
-        }
-        // Counting-sort scratch: requesters of module `j` occupy
-        // `flat[start[j] .. start[j] + count[j]]`, ascending.
-        let mut count: Vec<u32> = vec![0; m];
-        let mut start: Vec<u32> = vec![0; m];
-        let mut place: Vec<u32> = vec![0; m];
-        let mut flat: Vec<usize> = vec![0; n];
-        let mut busy: Vec<usize> = Vec::with_capacity(m);
-        let mut drained: Vec<usize> = Vec::with_capacity(n);
-        let mut wake_at: Option<u64> = None;
-        loop {
-            let next = [wake_at, queue.peek_time()]
-                .into_iter()
-                .flatten()
-                .chain(next_phase_tick.filter(|&b| b < total))
-                .min();
-            let t = match next {
-                Some(t) => t,
-                None => break,
-            };
-            if t >= total {
-                break;
-            }
-            watch.at(t, stats.events)?;
-            wake_at = None;
-            // Phase boundaries fire before this cycle's request events,
-            // so issue decisions at `t` use the incoming phase.
-            if next_phase_tick == Some(t) {
-                let state = mmpp.as_mut().expect("phase tick without a phase chain");
-                let phase = state.step(&mut phase_rng);
-                think = state.think_sampler().clone();
-                sampler = state.module_sampler().clone();
-                stats.record_phase(t, phase);
-                next_phase_tick = state.next_boundary(t);
-                for (i, slot) in dormant.iter_mut().enumerate() {
-                    if !std::mem::take(slot) {
-                        continue;
-                    }
-                    match sample_request(&think, i, t, &mut proc_rngs, horizon(next_phase_tick)) {
-                        Some(ready) => queue.schedule(ready, i),
-                        None => *slot = boundary_capped(next_phase_tick),
-                    }
-                }
-            }
-            stats.events += queue.drain_at(t, &mut drained) as u64;
-            for i in drained.drain(..) {
-                debug_assert_eq!(target[i], NO_TARGET);
-                target[i] = sampler.sample(m, &mut proc_rngs[i]) as u32;
-                requesting += 1;
-            }
-            count.iter_mut().for_each(|c| *c = 0);
-            for &j in target.iter() {
-                if j != NO_TARGET {
-                    count[j as usize] += 1;
-                }
-            }
-            let mut cursor = 0u32;
-            busy.clear();
-            for j in 0..m {
-                start[j] = cursor;
-                cursor += count[j];
-                if count[j] > 0 {
-                    busy.push(j);
-                }
-            }
-            place.copy_from_slice(&start);
-            for (i, &j) in target.iter().enumerate() {
-                if j != NO_TARGET {
-                    flat[place[j as usize] as usize] = i;
-                    place[j as usize] += 1;
-                }
-            }
-            let cap = self.buses.map_or(busy.len(), |b| busy.len().min(b as usize));
-            for k in 0..cap {
-                let swap = service_rng.gen_range(k..busy.len());
-                busy.swap(k, swap);
-            }
-            for &j in &busy[..cap] {
-                let requesters = &flat[start[j] as usize..(start[j] + count[j]) as usize];
-                let lucky = arbiter.pick(t, requesters, &mut service_rng);
-                target[lucky] = NO_TARGET;
-                requesting -= 1;
-                stats.record_served(t, lucky);
-                match sample_request(&think, lucky, t + 1, &mut proc_rngs, horizon(next_phase_tick))
-                {
-                    Some(next) => queue.schedule(next, lucky),
-                    None => dormant[lucky] = boundary_capped(next_phase_tick),
-                }
-            }
-            // Unserved requests persist: the very next cycle is active.
-            if requesting > 0 && t + 1 < total {
-                wake_at = Some(t + 1);
-            }
-        }
-        Ok(stats)
     }
 }
 
-/// A [`UnitBudget`] checked once per slice of simulated cycles.
-struct Watch<'a> {
-    budget: &'a UnitBudget,
-    start: std::time::Instant,
-    slice: u64,
-    /// The first cycle whose arrival triggers the next check.
-    next: u64,
+#[derive(Clone, Copy, PartialEq)]
+enum Phase {
+    Thinking,
+    Requesting(usize),
 }
 
-impl<'a> Watch<'a> {
-    fn new(budget: &'a UnitBudget, total: u64) -> Self {
-        let slice = UnitBudget::slice_cycles(total);
-        Watch { budget, start: std::time::Instant::now(), slice, next: slice }
+/// A crossbar run in progress: one [`CrossbarRun::step`] per crossbar
+/// cycle.
+struct CrossbarRun {
+    buses: Option<u32>,
+    rng: SmallRng,
+    arbiter: Arbiter,
+    /// Per-processor think probabilities (phase-dependent when bursty).
+    think_p: Vec<f64>,
+    sampler: ModuleSampler,
+    mmpp: Option<MmppState>,
+    next_phase_tick: Option<u64>,
+    procs: Vec<Phase>,
+    /// Per-module requester lists, rebuilt every cycle.
+    requesters: Vec<Vec<usize>>,
+    busy: Vec<usize>,
+    cycle: u64,
+    stats: SimCounters,
+}
+
+impl CrossbarRun {
+    fn step(&mut self) {
+        let cycle = self.cycle;
+        let m = self.requesters.len();
+        self.stats.events += 1;
+        if self.next_phase_tick == Some(cycle) {
+            let state = self.mmpp.as_mut().expect("phase tick without a phase chain");
+            let phase = state.step(&mut self.rng);
+            self.think_p.fill(state.think_p());
+            self.sampler = state.module_sampler().clone();
+            self.stats.record_phase(cycle, phase);
+            self.next_phase_tick = state.next_boundary(cycle);
+        }
+        // Thinking processors flip the request coin.
+        for (i, proc) in self.procs.iter_mut().enumerate() {
+            let p = self.think_p[i];
+            if *proc == Phase::Thinking && (p >= 1.0 || self.rng.gen_bool(p)) {
+                *proc = Phase::Requesting(self.sampler.sample(m, &mut self.rng));
+            }
+        }
+        // Gather per-module requester lists.
+        for list in &mut self.requesters {
+            list.clear();
+        }
+        for (i, proc) in self.procs.iter().enumerate() {
+            if let Phase::Requesting(j) = proc {
+                self.requesters[*j].push(i);
+            }
+        }
+        self.busy.clear();
+        self.busy.extend((0..m).filter(|&j| !self.requesters[j].is_empty()));
+        // Bus cap: choose which busy modules may serve.
+        let busy = &mut self.busy;
+        let cap = self.buses.map_or(busy.len(), |b| busy.len().min(b as usize));
+        // Partial Fisher–Yates: the first `cap` entries are a uniform
+        // subset.
+        for k in 0..cap {
+            let swap = self.rng.gen_range(k..busy.len());
+            busy.swap(k, swap);
+        }
+        for &j in &busy[..cap] {
+            let lucky = self.arbiter.pick(cycle, &self.requesters[j], &mut self.rng);
+            self.procs[lucky] = Phase::Thinking;
+            self.stats.record_served(cycle, lucky);
+        }
+        self.cycle += 1;
+    }
+}
+
+impl SlicedEngine for CrossbarRun {
+    type Report = CrossbarReport;
+
+    fn advance_until(&mut self, t: u64) {
+        let limit = t.min(self.stats.window().total_cycles());
+        while self.cycle < limit {
+            self.step();
+        }
     }
 
-    /// Checks the budget once `cycle` reaches a slice boundary, with the
-    /// `events` processed before it.
-    #[inline]
-    fn at(&mut self, cycle: u64, events: u64) -> Result<(), CoreError> {
-        if cycle < self.next {
-            return Ok(());
+    fn events(&self) -> u64 {
+        self.stats.events
+    }
+
+    fn measured_returns(&self) -> u64 {
+        self.stats.returns
+    }
+
+    fn finish_at(self, t: u64) -> CrossbarReport {
+        // Crossbar runs carry no batches, so they never stop early.
+        debug_assert_eq!(t, self.stats.window().total_cycles());
+        CrossbarReport {
+            served: self.stats.returns,
+            measured_cycles: self.stats.measured_cycles(),
+            events: self.stats.events,
+            windows: self.stats.window_series(),
+            per_processor_served: self.stats.per_entity_returns,
         }
-        self.next = (cycle / self.slice + 1) * self.slice;
-        self.budget.check(events, &self.start)
     }
 }
 
@@ -514,110 +347,60 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_matches_exact_chain() {
-        for (n, m) in [(4, 4), (8, 8), (8, 4)] {
-            let sim = CrossbarSim::new(params(n, m))
-                .engine(EngineKind::Event)
-                .seed(7)
-                .warmup_cycles(2_000)
-                .measure_cycles(200_000)
-                .run_ebw();
-            let exact = crossbar_ebw_exact(n, m).unwrap();
-            assert!((sim - exact).abs() / exact < 0.01, "({n},{m}): sim {sim} vs exact {exact}");
-        }
-    }
-
-    #[test]
     fn multibus_matches_exact_chain() {
-        for engine in [EngineKind::Cycle, EngineKind::Event] {
-            let sim = CrossbarSim::new(params(8, 8))
-                .with_buses(3)
-                .engine(engine)
-                .seed(11)
-                .warmup_cycles(2_000)
-                .measure_cycles(200_000)
-                .run_ebw();
-            let exact = multibus_bw_exact(8, 8, 3).unwrap();
-            assert!((sim - exact).abs() / exact < 0.01, "{engine:?}: sim {sim} vs exact {exact}");
-        }
+        let sim = CrossbarSim::new(params(8, 8))
+            .with_buses(3)
+            .seed(11)
+            .warmup_cycles(2_000)
+            .measure_cycles(200_000)
+            .run_ebw();
+        let exact = multibus_bw_exact(8, 8, 3).unwrap();
+        assert!((sim - exact).abs() / exact < 0.01, "sim {sim} vs exact {exact}");
     }
 
     #[test]
     fn think_probability_lowers_throughput() {
-        for engine in [EngineKind::Cycle, EngineKind::Event] {
-            let full = CrossbarSim::new(params(8, 8)).engine(engine).seed(3).run_ebw();
-            let half = CrossbarSim::new(params(8, 8).with_request_probability(0.5).unwrap())
-                .engine(engine)
-                .seed(3)
-                .run_ebw();
-            assert!(half < full, "{engine:?}");
-            assert!(half <= 4.0 + 0.1, "{engine:?}: offered load bound: {half}");
-        }
+        let full = CrossbarSim::new(params(8, 8)).seed(3).run_ebw();
+        let half =
+            CrossbarSim::new(params(8, 8).with_request_probability(0.5).unwrap()).seed(3).run_ebw();
+        assert!(half < full);
+        assert!(half <= 4.0 + 0.1, "offered load bound: {half}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        for engine in [EngineKind::Cycle, EngineKind::Event] {
-            let run =
-                || CrossbarSim::new(params(4, 4)).engine(engine).seed(9).measure_cycles(5_000);
-            assert_eq!(run().run_report(), run().run_report(), "{engine:?}");
-        }
+        let run = || CrossbarSim::new(params(4, 4)).seed(9).measure_cycles(5_000);
+        assert_eq!(run().run_report(), run().run_report());
     }
 
     #[test]
-    fn engines_agree_at_low_load() {
-        let run = |engine| {
-            CrossbarSim::new(params(8, 8).with_request_probability(0.2).unwrap())
-                .engine(engine)
-                .seed(5)
-                .warmup_cycles(2_000)
-                .measure_cycles(200_000)
-                .run_ebw()
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert!((cycle - event).abs() / cycle < 0.02, "cycle {cycle} vs event {event}");
-    }
-
-    #[test]
-    fn mmpp_runs_on_both_engines_and_engines_roughly_agree() {
+    fn mmpp_run_reports_phase_windows() {
         let workload = Workload::on_off_burst(0.9, 0.05, 0.9, 250, None).unwrap();
-        let run = |engine| {
+        let run = || {
             CrossbarSim::new(params(8, 8).with_request_probability(0.9).unwrap())
                 .workload(workload.clone())
-                .engine(engine)
                 .window_cycles(250)
                 .seed(5)
                 .warmup_cycles(1_000)
                 .measure_cycles(100_000)
                 .run_report()
         };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert!(cycle.served > 0 && event.served > 0);
-        // The engines run independent phase chains, so overall EBW
-        // carries large phase-occupancy noise; the *conditional*
-        // per-phase service rates are the stable comparison.
-        let phase_rate = |report: &CrossbarReport, phase: u32| {
-            let windows = &report.windows.as_ref().unwrap().windows;
-            let tagged = windows.iter().filter(|w| w.phase == Some(phase));
+        let report = run();
+        assert!(report.served > 0);
+        let windows = report.windows.as_ref().expect("window telemetry enabled");
+        assert_eq!(windows.windows.len(), 400);
+        assert_eq!(windows.windows.iter().map(|w| w.returns).sum::<u64>(), report.served);
+        assert!(windows.phase_cycles.iter().all(|&c| c > 0), "{:?}", windows.phase_cycles);
+        // The on phase (p = 0.9) serves faster than the off phase
+        // (p = 0.05).
+        let phase_rate = |phase: u32| {
+            let tagged = windows.windows.iter().filter(|w| w.phase == Some(phase));
             let (returns, cycles) =
                 tagged.fold((0u64, 0u64), |(r, c), w| (r + w.returns, c + w.cycles));
             returns as f64 / cycles as f64
         };
-        for phase in [0, 1] {
-            let (c, e) = (phase_rate(&cycle, phase), phase_rate(&event, phase));
-            assert!((c - e).abs() / c < 0.07, "phase {phase}: cycle {c} vs event {e}");
-        }
-        for report in [&cycle, &event] {
-            let windows = report.windows.as_ref().expect("window telemetry enabled");
-            assert_eq!(windows.windows.len(), 400);
-            assert_eq!(windows.windows.iter().map(|w| w.returns).sum::<u64>(), report.served);
-            assert!(windows.phase_cycles.iter().all(|&c| c > 0), "{:?}", windows.phase_cycles);
-        }
-        // Determinism per engine.
-        assert_eq!(run(EngineKind::Cycle), cycle);
-        assert_eq!(run(EngineKind::Event), event);
+        assert!(phase_rate(0) > 2.0 * phase_rate(1), "{} vs {}", phase_rate(0), phase_rate(1));
+        assert_eq!(run(), report);
     }
 
     #[test]

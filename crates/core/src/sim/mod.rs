@@ -11,7 +11,12 @@
 //!   cycle-stepped path stays alive for differential validation.
 //! * [`crossbar`] — the synchronous crossbar / multiple-bus baseline
 //!   with one step per processor cycle (references 1 and 5), with the
-//!   same engine and arbitration knobs.
+//!   same arbitration knob; it runs cycle-stepped only.
+//!
+//! All three engines advance through one slicing loop
+//! ([`bus::BusSimBuilder::run_budgeted`] and the crossbar evaluator),
+//! which checks a unit budget between slices and feeds the adaptive
+//! stopping rule between batches.
 //! * [`service`] — service-time distributions: the paper's constant
 //!   times, plus geometric (discrete exponential) variants for the §6
 //!   product-form comparison.

@@ -129,7 +129,8 @@ pub fn stirling2(n: u32, k: u32) -> f64 {
 /// exactly `x` distinct cells: `C(m, x) · surj(n, x) / m^n`.
 ///
 /// This is the request-distinctness distribution used throughout the
-/// paper's combinational models.
+/// paper's combinational models; see [`distinct_cells_distribution`]
+/// for how it is computed.
 ///
 /// # Example
 ///
@@ -143,10 +144,36 @@ pub fn distinct_cells_pmf(n: u32, m: u32, x: u32) -> f64 {
     if x > n.min(m) {
         return 0.0;
     }
-    if n == 0 {
-        return if x == 0 { 1.0 } else { 0.0 };
+    distinct_cells_distribution(n, m)[x as usize]
+}
+
+/// The whole [`distinct_cells_pmf`] distribution over `x = 0..=min(n, m)`.
+///
+/// Computed in probability space, one ball at a time:
+/// `P(k+1, x) = P(k, x)·x/m + P(k, x−1)·(m−x+1)/m`. Every term is a
+/// probability, so nothing overflows: the closed form's `m^n` is
+/// already infinite at `n = 128, m = 256`.
+///
+/// # Example
+///
+/// ```
+/// use busnet_markov::combinatorics::distinct_cells_distribution;
+/// let p = distinct_cells_distribution(128, 256);
+/// assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+/// ```
+pub fn distinct_cells_distribution(n: u32, m: u32) -> Vec<f64> {
+    let top = n.min(m) as usize;
+    let cells = f64::from(m);
+    let mut row = vec![0.0f64; top + 1];
+    row[0] = 1.0;
+    for ball in 1..=n as usize {
+        // In place from high to low, as in `surjections`.
+        for x in (1..=top.min(ball)).rev() {
+            row[x] = row[x] * (x as f64 / cells) + row[x - 1] * ((cells - (x - 1) as f64) / cells);
+        }
+        row[0] = 0.0;
     }
-    binomial(m, x) * surjections(n, x) / f64::from(m).powi(n as i32)
+    row
 }
 
 /// All partitions of `n` into at most `max_parts` parts, each part at most
@@ -315,6 +342,27 @@ mod tests {
             for m in 1..=9u32 {
                 let total: f64 = (0..=n.min(m)).map(|x| distinct_cells_pmf(n, m, x)).sum();
                 assert!((total - 1.0).abs() < 1e-12, "pmf not normalized n={n} m={m}");
+            }
+        }
+        for (n, m) in [(128, 256), (160, 256), (1024, 4096), (4096, 4096), (4096, 8)] {
+            let total: f64 = distinct_cells_distribution(n, m).iter().sum();
+            assert!((total - 1.0).abs() < 1e-12, "pmf not normalized n={n} m={m}: {total}");
+        }
+    }
+
+    #[test]
+    fn distinct_cells_pmf_matches_the_closed_form() {
+        for n in 0..=32u32 {
+            for m in 1..=32u32 {
+                let pmf = distinct_cells_distribution(n, m);
+                for x in 0..=n.min(m) {
+                    let closed = binomial(m, x) * surjections(n, x) / f64::from(m).powi(n as i32);
+                    let got = pmf[x as usize];
+                    assert!(
+                        (got - closed).abs() <= 1e-12 * closed,
+                        "n={n} m={m} x={x}: {got} vs closed form {closed}"
+                    );
+                }
             }
         }
     }

@@ -279,184 +279,6 @@ pub fn terminal_sccs(matrix: &TransitionMatrix) -> Vec<Vec<usize>> {
     comps.into_iter().enumerate().filter_map(|(i, c)| terminal[i].then_some(c)).collect()
 }
 
-/// Expectation `Σ_i π_i f(i)` of a function over a distribution.
-///
-/// # Panics
-///
-/// Panics in debug builds if `pi` is not approximately normalized.
-pub fn expectation(pi: &[f64], mut f: impl FnMut(usize) -> f64) -> f64 {
-    debug_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-6, "pi not normalized");
-    pi.iter().enumerate().map(|(i, &p)| p * f(i)).sum()
-}
-
-/// Expected number of steps to first reach any state in `targets`,
-/// from every state.
-///
-/// Solves the first-passage system `h_i = 0` for targets and
-/// `h_i = 1 + Σ_j P_ij h_j` otherwise. States that cannot reach a
-/// target make the system singular.
-///
-/// # Errors
-///
-/// * [`MarkovError::EmptySpace`] for an empty matrix or empty target
-///   set.
-/// * [`MarkovError::SingularSystem`] when some state cannot reach the
-///   target set (infinite expected hitting time).
-///
-/// # Example
-///
-/// Symmetric gambler's ruin on `{0, 1, 2, 3}` with absorbing ends:
-/// from state 1, the expected time to hit a boundary is `1·(3−1) = 2`.
-///
-/// ```
-/// use busnet_markov::chain::TransitionMatrix;
-/// use busnet_markov::solve::expected_hitting_times;
-///
-/// let m = TransitionMatrix::from_rows(vec![
-///     vec![(0, 1.0)],
-///     vec![(0, 0.5), (2, 0.5)],
-///     vec![(1, 0.5), (3, 0.5)],
-///     vec![(3, 1.0)],
-/// ])?;
-/// let h = expected_hitting_times(&m, &[0, 3])?;
-/// assert!((h[1] - 2.0).abs() < 1e-12);
-/// assert_eq!(h[0], 0.0);
-/// # Ok::<(), busnet_markov::MarkovError>(())
-/// ```
-pub fn expected_hitting_times(
-    matrix: &TransitionMatrix,
-    targets: &[usize],
-) -> Result<Vec<f64>, MarkovError> {
-    let n = matrix.len();
-    if n == 0 || targets.is_empty() {
-        return Err(MarkovError::EmptySpace);
-    }
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        if t >= n {
-            return Err(MarkovError::EmptySpace);
-        }
-        is_target[t] = true;
-    }
-    // Unknowns: non-target states. System: (I − Q) h = 1 where Q is the
-    // sub-matrix over non-target states.
-    let free: Vec<usize> = (0..n).filter(|&i| !is_target[i]).collect();
-    let index_of: Vec<usize> = {
-        let mut v = vec![usize::MAX; n];
-        for (k, &i) in free.iter().enumerate() {
-            v[i] = k;
-        }
-        v
-    };
-    let k = free.len();
-    if k == 0 {
-        return Ok(vec![0.0; n]);
-    }
-    let mut a = vec![0.0f64; k * k];
-    let mut b = vec![1.0f64; k];
-    for (row, &i) in free.iter().enumerate() {
-        a[row * k + row] += 1.0;
-        for &(j, p) in matrix.row(i) {
-            if !is_target[j] {
-                a[row * k + index_of[j]] -= p;
-            }
-        }
-    }
-    gaussian_solve(&mut a, &mut b, k)?;
-    let mut h = vec![0.0; n];
-    for (row, &i) in free.iter().enumerate() {
-        if !(b[row].is_finite() && b[row] >= -1e-9) {
-            return Err(MarkovError::SingularSystem);
-        }
-        h[i] = b[row].max(0.0);
-    }
-    Ok(h)
-}
-
-/// Probability of hitting `target_a` before `target_b`, from every
-/// state (absorption probabilities of the two-boundary problem).
-///
-/// # Errors
-///
-/// As for [`expected_hitting_times`].
-///
-/// # Example
-///
-/// Unbiased gambler's ruin on `{0..4}`: from 1, ruin (state 0) before
-/// fortune (state 4) has probability `3/4`.
-///
-/// ```
-/// use busnet_markov::chain::TransitionMatrix;
-/// use busnet_markov::solve::hit_before;
-///
-/// let rows = vec![
-///     vec![(0usize, 1.0)],
-///     vec![(0, 0.5), (2, 0.5)],
-///     vec![(1, 0.5), (3, 0.5)],
-///     vec![(2, 0.5), (4, 0.5)],
-///     vec![(4, 1.0)],
-/// ];
-/// let m = TransitionMatrix::from_rows(rows)?;
-/// let q = hit_before(&m, &[0], &[4])?;
-/// assert!((q[1] - 0.75).abs() < 1e-12);
-/// # Ok::<(), busnet_markov::MarkovError>(())
-/// ```
-pub fn hit_before(
-    matrix: &TransitionMatrix,
-    target_a: &[usize],
-    target_b: &[usize],
-) -> Result<Vec<f64>, MarkovError> {
-    let n = matrix.len();
-    if n == 0 || target_a.is_empty() || target_b.is_empty() {
-        return Err(MarkovError::EmptySpace);
-    }
-    let mut class = vec![0u8; n]; // 0 free, 1 target_a, 2 target_b
-    for &t in target_a {
-        if t >= n {
-            return Err(MarkovError::EmptySpace);
-        }
-        class[t] = 1;
-    }
-    for &t in target_b {
-        if t >= n {
-            return Err(MarkovError::EmptySpace);
-        }
-        class[t] = 2;
-    }
-    let free: Vec<usize> = (0..n).filter(|&i| class[i] == 0).collect();
-    let mut index_of = vec![usize::MAX; n];
-    for (kk, &i) in free.iter().enumerate() {
-        index_of[i] = kk;
-    }
-    let k = free.len();
-    let mut q = vec![0.0; n];
-    for (i, c) in class.iter().enumerate() {
-        if *c == 1 {
-            q[i] = 1.0;
-        }
-    }
-    if k == 0 {
-        return Ok(q);
-    }
-    let mut a = vec![0.0f64; k * k];
-    let mut b = vec![0.0f64; k];
-    for (row, &i) in free.iter().enumerate() {
-        a[row * k + row] += 1.0;
-        for &(j, p) in matrix.row(i) {
-            match class[j] {
-                0 => a[row * k + index_of[j]] -= p,
-                1 => b[row] += p,
-                _ => {}
-            }
-        }
-    }
-    gaussian_solve(&mut a, &mut b, k)?;
-    for (row, &i) in free.iter().enumerate() {
-        q[i] = b[row].clamp(0.0, 1.0);
-    }
-    Ok(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,83 +350,6 @@ mod tests {
         let m = two_state(0.2, 0.7);
         let t = terminal_sccs(&m);
         assert_eq!(t, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn expectation_weighted_sum() {
-        let pi = vec![0.25, 0.75];
-        let e = expectation(&pi, |i| (i as f64) * 4.0);
-        assert!((e - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // index IS the formula variable
-    fn hitting_times_gamblers_ruin_closed_form() {
-        // Unbiased walk on {0..L} with absorbing ends: h_i = i(L−i).
-        let l = 6usize;
-        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-        rows.push(vec![(0, 1.0)]);
-        for i in 1..l {
-            rows.push(vec![(i - 1, 0.5), (i + 1, 0.5)]);
-        }
-        rows.push(vec![(l, 1.0)]);
-        let m = TransitionMatrix::from_rows(rows).unwrap();
-        let h = expected_hitting_times(&m, &[0, l]).unwrap();
-        for i in 0..=l {
-            let expect = (i * (l - i)) as f64;
-            assert!((h[i] - expect).abs() < 1e-10, "h[{i}] = {} vs {expect}", h[i]);
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // index IS the formula variable
-    fn hit_before_linear_in_position() {
-        // Unbiased ruin: P(hit L before 0 | start i) = i/L.
-        let l = 5usize;
-        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-        rows.push(vec![(0, 1.0)]);
-        for i in 1..l {
-            rows.push(vec![(i - 1, 0.5), (i + 1, 0.5)]);
-        }
-        rows.push(vec![(l, 1.0)]);
-        let m = TransitionMatrix::from_rows(rows).unwrap();
-        let q = hit_before(&m, &[l], &[0]).unwrap();
-        for i in 0..=l {
-            let expect = i as f64 / l as f64;
-            assert!((q[i] - expect).abs() < 1e-10, "q[{i}] = {} vs {expect}", q[i]);
-        }
-    }
-
-    #[test]
-    fn hitting_time_of_cycle_is_distance() {
-        // Deterministic cycle 0→1→2→3→0: hitting time of {0} from i is
-        // (4 − i) mod 4.
-        let m = TransitionMatrix::from_rows(vec![
-            vec![(1, 1.0)],
-            vec![(2, 1.0)],
-            vec![(3, 1.0)],
-            vec![(0, 1.0)],
-        ])
-        .unwrap();
-        let h = expected_hitting_times(&m, &[0]).unwrap();
-        assert_eq!(h[0], 0.0);
-        assert!((h[1] - 3.0).abs() < 1e-12);
-        assert!((h[3] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unreachable_target_is_singular() {
-        // 1 cannot reach 0.
-        let m = TransitionMatrix::from_rows(vec![vec![(0, 1.0)], vec![(1, 1.0)]]).unwrap();
-        assert!(expected_hitting_times(&m, &[0]).is_err());
-    }
-
-    #[test]
-    fn hitting_empty_inputs_rejected() {
-        let m = two_state(0.5, 0.5);
-        assert!(expected_hitting_times(&m, &[]).is_err());
-        assert!(expected_hitting_times(&m, &[7]).is_err());
-        assert!(hit_before(&m, &[0], &[]).is_err());
     }
 
     #[test]

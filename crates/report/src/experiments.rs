@@ -1084,8 +1084,6 @@ pub struct ScaleRow {
     pub waiting: f64,
     /// RK4 steps to steady state.
     pub steps: u32,
-    /// Wall-clock solve time in milliseconds.
-    pub millis: f64,
 }
 
 /// The fluid scale study: million-processor scenario points evaluated
@@ -1112,13 +1110,13 @@ impl std::fmt::Display for ScaleReport {
         )?;
         writeln!(
             f,
-            "  {:>9} {:>9} {:>5} {:>4} {:>9} {:>7} {:>10} {:>8} {:>7} {:>8}",
-            "n", "m", "p", "k", "EBW", "util", "mean queue", "waiting", "steps", "ms"
+            "  {:>9} {:>9} {:>5} {:>4} {:>9} {:>7} {:>10} {:>8} {:>7}",
+            "n", "m", "p", "k", "EBW", "util", "mean queue", "waiting", "steps"
         )?;
         for row in &self.rows {
             writeln!(
                 f,
-                "  {:>9} {:>9} {:>5} {:>4} {:>9.3} {:>7.3} {:>10.3} {:>8.3} {:>7} {:>8.2}",
+                "  {:>9} {:>9} {:>5} {:>4} {:>9.3} {:>7.3} {:>10.3} {:>8.3} {:>7}",
                 row.n,
                 row.m,
                 row.p,
@@ -1128,7 +1126,6 @@ impl std::fmt::Display for ScaleReport {
                 row.mean_input_queue,
                 row.waiting,
                 row.steps,
-                row.millis,
             )?;
         }
         Ok(())
@@ -1152,9 +1149,7 @@ pub fn scale_study() -> Result<ScaleReport, CoreError> {
                 for buffering in [Buffering::Unbuffered, Buffering::Depth(4)] {
                     let params = SystemParams::new(n, m, r)?.with_request_probability(p)?;
                     let scenario = Scenario::new(params).with_buffering(buffering);
-                    let start = std::time::Instant::now();
                     let solution = fluid.solve(&scenario)?;
-                    let millis = start.elapsed().as_secs_f64() * 1e3;
                     rows.push(ScaleRow {
                         n,
                         m,
@@ -1165,7 +1160,6 @@ pub fn scale_study() -> Result<ScaleReport, CoreError> {
                         mean_input_queue: solution.mean_input_queue,
                         waiting: solution.waiting_mass / f64::from(n),
                         steps: solution.steps,
-                        millis,
                     });
                 }
             }

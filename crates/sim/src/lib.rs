@@ -25,7 +25,7 @@
 //! * [`seeds`] — deterministic seed derivation (SplitMix64) so that every
 //!   replication and every component gets an independent, reproducible
 //!   stream.
-//! * [`stats`] — running statistics (Welford), time-weighted averages,
+//! * [`stats`] — running statistics (Welford), Jain fairness,
 //!   batch means, and Student-t confidence intervals.
 //! * [`clock`] — a measurement window: warmup + measurement phases over a
 //!   cycle counter.
@@ -93,4 +93,4 @@ pub use exec::{parallel_map, parallel_map_progress, ExecutionMode};
 pub use histogram::Histogram;
 pub use replication::ReplicationSummary;
 pub use seeds::SeedSequence;
-pub use stats::{RunningStats, TimeWeighted};
+pub use stats::RunningStats;

@@ -36,15 +36,6 @@ impl ReplicationSummary {
         self.stats.half_width_95()
     }
 
-    /// Relative 95% half width (`half_width / |mean|`; 0 for zero mean).
-    pub fn relative_error_95(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.half_width_95() / self.mean().abs()
-        }
-    }
-
     /// The underlying statistics accumulator.
     pub fn stats(&self) -> &RunningStats {
         &self.stats
@@ -68,7 +59,6 @@ mod tests {
             assert_eq!(s.mean(), mean);
             assert_eq!(s.replications(), len);
             assert_eq!(s.half_width_95() > 0.0, spread, "{:?}", s.values());
-            assert_eq!(s.relative_error_95() > 0.0, spread, "{:?}", s.values());
         }
     }
 

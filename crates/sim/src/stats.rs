@@ -187,67 +187,6 @@ pub fn student_t_975(df: u64) -> f64 {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue
-/// length over cycles).
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::stats::TimeWeighted;
-///
-/// let mut tw = TimeWeighted::new(0.0, 0);
-/// tw.record(2.0, 10);  // value becomes 2.0 at t=10
-/// tw.record(0.0, 30);  // value becomes 0.0 at t=30
-/// // 0.0 for 10 units, 2.0 for 20 units => 40/30
-/// assert!((tw.average_until(30) - 40.0 / 30.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimeWeighted {
-    value: f64,
-    last_time: u64,
-    weighted_sum: f64,
-    start_time: u64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking with `initial` value at time `start`.
-    pub fn new(initial: f64, start: u64) -> Self {
-        TimeWeighted { value: initial, last_time: start, weighted_sum: 0.0, start_time: start }
-    }
-
-    /// Records a change of the signal to `value` at time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` precedes the previous record.
-    pub fn record(&mut self, value: f64, time: u64) {
-        assert!(time >= self.last_time, "time went backwards");
-        self.weighted_sum += self.value * (time - self.last_time) as f64;
-        self.value = value;
-        self.last_time = time;
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the last recorded change.
-    pub fn average_until(&self, now: u64) -> f64 {
-        assert!(now >= self.last_time, "time went backwards");
-        let span = now - self.start_time;
-        if span == 0 {
-            return self.value;
-        }
-        let total = self.weighted_sum + self.value * (now - self.last_time) as f64;
-        total / span as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,25 +244,5 @@ mod tests {
             prev = t;
         }
         assert_eq!(student_t_975(10_000), 1.960);
-    }
-
-    #[test]
-    fn time_weighted_constant_signal() {
-        let mut tw = TimeWeighted::new(3.0, 5);
-        tw.record(3.0, 50);
-        assert!((tw.average_until(100) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_zero_span_returns_current() {
-        let tw = TimeWeighted::new(7.0, 9);
-        assert_eq!(tw.average_until(9), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn time_weighted_rejects_regression() {
-        let mut tw = TimeWeighted::new(0.0, 10);
-        tw.record(1.0, 5);
     }
 }

@@ -94,7 +94,8 @@ fn main() -> ExitCode {
                  request --unix PATH | --tcp ADDR  (JSON-line requests on stdin)\n\
                  \n\
                  SPEC is a comma list (2,6,10), an inclusive range (2..64), or a stepped\n\
-                 range (2..16:2). KIND is random|round-robin|lru|priority."
+                 range (2..16:2). KIND is random|round-robin|lru|priority. --engine selects\n\
+                 the bus engine only; crossbar-sim always runs cycle-stepped."
             );
             ExitCode::FAILURE
         }
@@ -154,16 +155,11 @@ fn run_sim(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("the simulator does not support this scenario ({})", scenario.label()));
     }
     let builder = sim.builder_for(&scenario, budget.master_seed);
-    let mut adaptive = None;
-    let report = match budget.adaptive_plan(None) {
-        None => builder.run(),
-        Some(plan) => {
-            let AdaptiveOutcome { report, batches, half_width_95, converged } =
-                builder.run_adaptive(&plan);
-            adaptive = Some((batches, half_width_95, converged));
-            report
-        }
-    };
+    let plan = budget.adaptive_plan(None);
+    let AdaptiveOutcome { report, batches, half_width_95, converged } = builder
+        .run_budgeted(&UnitBudget::default(), plan.as_ref())
+        .expect("an unlimited budget cannot trip");
+    let adaptive = plan.map(|_| (batches, half_width_95, converged));
     let metrics = report.metrics();
     let params = &scenario.params;
     println!(

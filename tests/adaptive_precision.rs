@@ -11,7 +11,7 @@ use common::stats::ci_overlap;
 use busnet::core::params::Buffering;
 use busnet::core::params::SystemParams;
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget, Stopping};
-use busnet::core::sim::bus::{AdaptivePlan, BusSimBuilder, EngineKind};
+use busnet::core::sim::bus::{AdaptivePlan, BusSimBuilder, EngineKind, UnitBudget};
 use busnet::sim::exec::ExecutionMode;
 
 fn table34_points() -> Vec<Scenario> {
@@ -104,7 +104,8 @@ fn adaptive_runs_on_both_engines_and_truncates_exactly() {
             .engine(engine)
             .seed(11)
             .warmup_cycles(2_000)
-            .run_adaptive(&plan);
+            .run_budgeted(&UnitBudget::default(), Some(&plan))
+            .unwrap();
         assert!(outcome.converged, "{engine:?}: did not converge");
         assert!(outcome.half_width_95 <= 0.05);
         assert!(outcome.batches >= 8);

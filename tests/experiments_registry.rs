@@ -9,6 +9,15 @@ fn tables_render_with_paper_comparison() {
     assert!(text.contains('%'), "comparison section missing");
 }
 
+/// Report output is reproducible: the scale study prints no wall-clock
+/// column, so two renders are the same string.
+#[test]
+fn scale_study_renders_identically_twice() {
+    let first = ExperimentId::Scale.run_rendered(Effort::Quick).unwrap();
+    assert_eq!(first, ExperimentId::Scale.run_rendered(Effort::Quick).unwrap());
+    assert!(first.contains("steps") && !first.contains(" ms"), "{first}");
+}
+
 #[test]
 fn table3_quick_close_to_paper_sim() {
     let t = experiments::table3(Effort::Quick).unwrap();

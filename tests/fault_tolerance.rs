@@ -6,12 +6,13 @@
 
 use std::process::Command;
 
-use busnet::core::params::BusPolicy;
+use busnet::core::cache::EvalCache;
+use busnet::core::params::{Buffering, BusPolicy, SystemParams};
 use busnet::core::scenario::{
-    run_sweep_with, BusSimEval, CrossbarSimEval, Evaluator, OnFailure, Scenario, ScenarioGrid,
-    SimBudget, Supervisor, SweepOptions, SweepRecord, UnitStatus,
+    run_sweep_with, BusSimEval, CrossbarSimEval, Evaluation, Evaluator, OnFailure, PfqnEval,
+    Scenario, ScenarioGrid, SimBudget, Supervisor, SweepOptions, SweepRecord, UnitStatus,
 };
-use busnet::core::sim::bus::{EngineKind, UnitBudget};
+use busnet::core::sim::bus::{AdaptivePlan, BusSimBuilder, EngineKind, UnitBudget};
 use busnet::core::CoreError;
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::fault::{silence_injected_panics, FaultPlan, FaultSite};
@@ -259,9 +260,72 @@ fn budget_watchdog_trips_and_is_otherwise_invisible() {
     }
 }
 
-/// Both crossbar engines check the unit budget between slices of the
-/// run, as the bus engines do: a runaway unit stops within one slice
-/// instead of after its whole run, and a roomy budget is bit-invisible.
+/// One slicing loop serves the cycle bus, the event bus and the
+/// crossbar. A run inside a generous budget (sliced and checked all
+/// along) is bit-identical to the unbudgeted run: fixed and adaptive on
+/// both bus engines, fixed on the crossbar. The crossbar runs
+/// cycle-stepped whatever engine the budget names.
+#[test]
+fn one_slicing_loop_is_bit_invisible_on_every_engine() {
+    let roomy = UnitBudget { max_events: Some(u64::MAX / 2), max_millis: Some(u64::MAX / 2) };
+    // Batches, slices (1 117 and 1 024 cycles) and the warmup end all
+    // fall on different cycles.
+    let plan = AdaptivePlan {
+        ci_width: 0.05,
+        batch_cycles: 3_000,
+        min_batches: 4,
+        max_measure: 60_000,
+        prior: None,
+    };
+    for engine in [EngineKind::Cycle, EngineKind::Event] {
+        let builder = BusSimBuilder::new(SystemParams::new(8, 8, 6).unwrap())
+            .buffering(Buffering::Buffered)
+            .engine(engine)
+            .seed(5)
+            .warmup_cycles(1_500)
+            .measure_cycles(70_000);
+        let whole = match engine {
+            EngineKind::Cycle => builder.clone().build().run(),
+            EngineKind::Event => builder.clone().build_event().run(),
+        };
+        for plan in [None, Some(&plan)] {
+            let unbudgeted = builder.clone().run_budgeted(&UnitBudget::default(), plan).unwrap();
+            let sliced = builder.clone().run_budgeted(&roomy, plan).unwrap();
+            assert_eq!(format!("{sliced:?}"), format!("{unbudgeted:?}"), "{engine:?} {plan:?}");
+            match plan {
+                None => assert_eq!(format!("{:?}", sliced.report), format!("{whole:?}")),
+                Some(plan) => assert!(
+                    sliced.converged && sliced.report.measured_cycles < plan.max_measure,
+                    "{engine:?}: the adaptive run must stop early to pin the early close"
+                ),
+            }
+        }
+    }
+
+    let scenarios = ScenarioGrid::new().n_values([64]).m_values([64]).r_values([8]).scenarios();
+    let scenarios = scenarios.unwrap();
+    let eval = CrossbarSimEval::new(SimBudget::sweep());
+    let named_event =
+        CrossbarSimEval::new(SimBudget { engine: EngineKind::Event, ..SimBudget::sweep() });
+    let full = eval.evaluate(&scenarios[0]).unwrap();
+    assert_eq!(named_event.evaluate(&scenarios[0]).unwrap(), full);
+    assert_eq!(named_event.config_fingerprint(), eval.config_fingerprint());
+    assert!(
+        eval.config_fingerprint().ends_with(":engine=cycle"),
+        "journals written with the default budget replay"
+    );
+    let roomy = Supervisor { unit_budget: Some(roomy), ..Supervisor::default() };
+    let evaluators: [&dyn Evaluator; 1] = [&eval];
+    let options =
+        SweepOptions { supervise: Some(&roomy), ..SweepOptions::new(ExecutionMode::Serial) };
+    let record = run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {}).remove(0);
+    assert_eq!(record.status, UnitStatus::Ok);
+    assert_eq!(record.result.unwrap(), full, "an untripped budget changed the crossbar run");
+}
+
+/// Whichever engine the budget names, the crossbar checks the unit
+/// budget between slices of the run, as the bus engines do: a runaway
+/// unit stops within one slice instead of after its whole run.
 #[test]
 fn crossbar_budget_trips_mid_run_on_both_engines() {
     let scenarios = ScenarioGrid::new().n_values([64]).m_values([64]).r_values([8]).scenarios();
@@ -270,18 +334,15 @@ fn crossbar_budget_trips_mid_run_on_both_engines() {
         let eval = CrossbarSimEval::new(SimBudget { engine, ..SimBudget::sweep() });
         let full = eval.evaluate(&scenarios[0]).unwrap();
         let evaluators: [&dyn Evaluator; 1] = [&eval];
-        let run = |max_events: u64| {
-            let sup = Supervisor {
-                max_retries: 0,
-                backoff_base_ms: 0,
-                on_failure: OnFailure::Skip,
-                unit_budget: Some(UnitBudget { max_events: Some(max_events), max_millis: None }),
-            };
-            let options =
-                SweepOptions { supervise: Some(&sup), ..SweepOptions::new(ExecutionMode::Serial) };
-            run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {}).remove(0)
+        let sup = Supervisor {
+            max_retries: 0,
+            backoff_base_ms: 0,
+            on_failure: OnFailure::Skip,
+            unit_budget: Some(UnitBudget { max_events: Some(1_000), max_millis: None }),
         };
-        match run(1_000).result {
+        let options =
+            SweepOptions { supervise: Some(&sup), ..SweepOptions::new(ExecutionMode::Serial) };
+        match run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {}).remove(0).result {
             Err(CoreError::BudgetExceeded { what: "events", used, limit: 1_000 }) => assert!(
                 used < full.simulated_events / 10,
                 "{engine:?}: tripped after {used} of {} events",
@@ -289,9 +350,6 @@ fn crossbar_budget_trips_mid_run_on_both_engines() {
             ),
             other => panic!("{engine:?}: expected an events overrun, got {other:?}"),
         }
-        let roomy = run(u64::MAX / 2);
-        assert_eq!(roomy.status, UnitStatus::Ok);
-        assert_eq!(roomy.result.unwrap(), full, "{engine:?}: an untripped budget changed the run");
     }
 }
 
@@ -430,31 +488,55 @@ fn cli_chaos_sweep_survives_and_matches() {
     assert!(survivors > 0, "some rows must survive at rate 0.45 with retries");
 }
 
-/// A NaN, infinite or negative EBW is a failed row, never a number:
-/// the approximation's NaN at n = 160, m = 256 once streamed as an `ok`
-/// row with EBW `NaN` and went into the cache journal.
+/// An evaluator whose every answer carries one fixed EBW.
+struct FixedEbw(f64);
+
+impl Evaluator for FixedEbw {
+    fn name(&self) -> &'static str {
+        "fixed-ebw"
+    }
+
+    fn supports(&self, _scenario: &Scenario) -> bool {
+        true
+    }
+
+    fn config_fingerprint(&self) -> String {
+        format!("fixed-ebw:{:016x}", self.0.to_bits())
+    }
+
+    fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
+        let mut evaluation = PfqnEval::default().evaluate(scenario)?;
+        evaluation.metrics.ebw = self.0;
+        Ok(evaluation)
+    }
+}
+
+/// A NaN, infinite or negative EBW is a failed row, never a number, and
+/// never reaches the cache journal (the approximations' overflow at
+/// n = 160, m = 256 once streamed as an `ok` row with EBW `NaN` and
+/// went into the journal).
 #[test]
 fn non_finite_ebw_is_a_failed_row_and_never_cached() {
     let dir = std::env::temp_dir().join(format!("busnet-nan-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let point = ["--n", "160", "--m", "256", "--r", "8", "--policy", "mem"];
-    let cache = ["--cache-dir", dir.to_str().unwrap()];
-    for format in ["csv", "json"] {
-        let mut args = vec!["sweep", "--evaluator", "approx,approx-sym", "--format", format];
-        args.extend(point);
-        args.extend(cache);
-        let out = busnet(&args);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "failed rows exit 1:\n{stderr}");
-        // No cell or JSON value is a non-finite number (the error
-        // text may name one).
-        for bad in [",NaN", ":NaN", ",inf", ":inf", ",-inf", ":-inf"] {
-            assert!(!stdout.contains(bad), "{stdout}");
+    let scenarios =
+        [Scenario::new(SystemParams::new(4, 4, 4).unwrap()).with_buffering(Buffering::Buffered)];
+    let cache = EvalCache::with_dir(&dir).unwrap();
+    for ebw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let eval = FixedEbw(ebw);
+        let evaluators: [&dyn Evaluator; 1] = [&eval];
+        let options =
+            SweepOptions { cache: Some(&cache), ..SweepOptions::new(ExecutionMode::Serial) };
+        let record = run_sweep_with(&scenarios, &evaluators, &options, |_, _, _| {}).remove(0);
+        assert_eq!(record.status, UnitStatus::Failed, "EBW {ebw}");
+        match record.result {
+            Err(err @ CoreError::InvalidResult { .. }) => {
+                assert!(err.to_string().contains("not a finite non-negative number"), "{err}")
+            }
+            other => panic!("EBW {ebw}: expected an invalid result, got {other:?}"),
         }
-        assert_eq!(stdout.matches("failed").count(), 2, "{stdout}");
-        assert_eq!(stderr.matches("not a finite non-negative number").count(), 2, "{stderr}");
     }
+    drop(cache);
     let journal = std::fs::read_to_string(dir.join("evalcache.jsonl")).unwrap_or_default();
     assert!(journal.is_empty(), "a failed result reached the journal: {journal}");
     let _ = std::fs::remove_dir_all(&dir);

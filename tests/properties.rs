@@ -281,26 +281,29 @@ proptest! {
     }
 }
 
-/// The drawn systems above are small; at n = 160, m = 256 the
-/// approximations' EBW is NaN. A sweep turns that into a typed failure
-/// rather than an `ok` record carrying the NaN.
+/// The drawn systems above are small. At n = 128 and 160, m = 256, the
+/// closed form's `m^n` overflows f64, which once gave the
+/// approximations a false 0 and a NaN. Computed in probability space,
+/// both points answer through a sweep with an EBW in `(0, min(n, m)]`.
 #[test]
-fn sweep_fails_the_approximations_nan_point() {
-    let params = SystemParams::new(160, 256, 8).unwrap();
-    let scenarios = [Scenario::new(params).with_policy(BusPolicy::MemoryPriority)];
+fn approximations_answer_where_m_to_the_n_overflows() {
+    let scenarios: Vec<Scenario> = [128, 160]
+        .map(|n| {
+            Scenario::new(SystemParams::new(n, 256, 8).unwrap())
+                .with_policy(BusPolicy::MemoryPriority)
+        })
+        .into();
     let budget = SimBudget::quick();
     let evaluators: Vec<_> =
         [EvaluatorKind::Approx, EvaluatorKind::ApproxSymmetric].map(|k| k.build(budget)).into();
     let refs: Vec<&dyn Evaluator> = evaluators.iter().map(|e| e.as_ref()).collect();
     let options = SweepOptions::new(ExecutionMode::Serial);
     for record in run_sweep_with(&scenarios, &refs, &options, |_, _, _| {}) {
-        assert_eq!(record.status, UnitStatus::Failed, "{}", record.evaluator);
-        assert!(
-            matches!(&record.result, Err(CoreError::InvalidResult { ebw, .. }) if ebw == "NaN"),
-            "{}: {:?}",
-            record.evaluator,
-            record.result.as_ref().map(|e| e.ebw())
-        );
+        let label = format!("{} @ {}", record.evaluator, record.scenario.label());
+        assert_eq!(record.status, UnitStatus::Ok, "{label}: {:?}", record.result);
+        let ebw = record.result.unwrap().ebw();
+        let bound = f64::from(record.scenario.params.min_nm());
+        assert!(ebw.is_finite() && ebw > 0.0 && ebw <= bound, "{label}: EBW {ebw}");
     }
 }
 

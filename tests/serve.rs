@@ -197,12 +197,12 @@ fn bad_requests_earn_structured_errors_and_the_connection_survives() {
             "failed",
             "does not support",
         ),
-        // An EBW past the approximation's numeric range once came back
-        // as `"ebw":NaN`, which is not JSON.
+        // The approximation once overflowed here and came back as
+        // `"ebw":NaN`, which is not JSON; it now answers.
         (
             r#"{"id":16,"scenario":{"n":160,"m":256,"r":8,"policy":"mem"},"evaluator":"approx"}"#,
-            "failed",
-            "not a finite non-negative number",
+            "fresh",
+            r#""ebw":5.000000"#,
         ),
         // A crossbar run far past its unit budget once ran to the end
         // before failing; it now stops within one slice.

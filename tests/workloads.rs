@@ -28,16 +28,11 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn bus_report(
-    engine: EngineKind,
-    n: u32,
-    m: u32,
-    r: u32,
-    p: f64,
-    buffering: Buffering,
-    policy: BusPolicy,
-    seed: u64,
-) -> SimReport {
+/// `(n, m, r, p, buffering, policy, seed)` of one pinned bus run.
+type RunConfig = (u32, u32, u32, f64, Buffering, BusPolicy, u64);
+
+fn bus_report(engine: EngineKind, cfg: RunConfig) -> SimReport {
+    let (n, m, r, p, buffering, policy, seed) = cfg;
     BusSimBuilder::new(SystemParams::new(n, m, r).unwrap().with_request_probability(p).unwrap())
         .policy(policy)
         .buffering(buffering)
@@ -57,7 +52,7 @@ fn bus_report(
 fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
     struct Pin {
         engine: EngineKind,
-        cfg: (u32, u32, u32, f64, Buffering, BusPolicy, u64),
+        cfg: RunConfig,
         returns: u64,
         granted: u64,
         bus_busy: u64,
@@ -75,8 +70,8 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 14885,
             bus_busy: 29771,
             mod_busy: 119080,
-            wait_mean: 3.40812898891502059e0,
-            rt_mean: 1.61209189842804896e1,
+            wait_mean: 3.4081289889150206e0,
+            rt_mean: 1.612091898428049e1,
             per0: 1881,
             events: 32000,
         },
@@ -87,8 +82,8 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 14891,
             bus_busy: 29781,
             mod_busy: 119122,
-            wait_mean: 3.41219528574305553e0,
-            rt_mean: 1.61175957018132436e1,
+            wait_mean: 3.4121952857430555e0,
+            rt_mean: 1.6117595701813244e1,
             per0: 1861,
             events: 63537,
         },
@@ -99,8 +94,8 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 12723,
             bus_busy: 25444,
             mod_busy: 76330,
-            wait_mean: 1.51850978542796694e-1,
-            rt_mean: 1.06375284961873451e1,
+            wait_mean: 1.518509785427967e-1,
+            rt_mean: 1.0637528496187345e1,
             per0: 1600,
             events: 32000,
         },
@@ -111,8 +106,8 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 12850,
             bus_busy: 25699,
             mod_busy: 77096,
-            wait_mean: 1.42334630350195029e-1,
-            rt_mean: 1.06858899525254802e1,
+            wait_mean: 1.4233463035019503e-1,
+            rt_mean: 1.068588995252548e1,
             per0: 1568,
             events: 54896,
         },
@@ -123,8 +118,8 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 6976,
             bus_busy: 13952,
             mod_busy: 62772,
-            wait_mean: 1.48179472477064209e1,
-            rt_mean: 2.58215309633027879e1,
+            wait_mean: 1.4817947247706421e1,
+            rt_mean: 2.5821530963302788e1,
             per0: 1156,
             events: 32000,
         },
@@ -135,15 +130,15 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
             granted: 7223,
             bus_busy: 14448,
             mod_busy: 28900,
-            wait_mean: 1.41492454658729644e-1,
-            rt_mean: 6.93799307958477840e0,
+            wait_mean: 1.4149245465872964e-1,
+            rt_mean: 6.937993079584778e0,
             per0: 1471,
             events: 30745,
         },
     ];
     for pin in pins {
-        let (n, m, r, p, buffering, policy, seed) = pin.cfg;
-        let report = bus_report(pin.engine, n, m, r, p, buffering, policy, seed);
+        let (n, m, r, p, buffering, _, _) = pin.cfg;
+        let report = bus_report(pin.engine, pin.cfg);
         let label = format!("{:?} n={n} m={m} r={r} p={p} {buffering:?}", pin.engine);
         assert_eq!(report.returns, pin.returns, "{label}: returns");
         assert_eq!(report.requests_granted, pin.granted, "{label}: granted");
@@ -160,21 +155,20 @@ fn uniform_workload_bit_identical_to_prerefactor_fingerprints() {
     }
 }
 
-/// The pre-refactor crossbar fingerprints (both engines, p = 0.6).
+/// The pre-refactor crossbar fingerprint (p = 0.6).
 #[test]
 fn uniform_crossbar_bit_identical_to_prerefactor_fingerprints() {
-    let run = |engine| {
-        CrossbarSim::new(SystemParams::new(8, 8, 1).unwrap().with_request_probability(0.6).unwrap())
-            .engine(engine)
-            .seed(21)
-            .warmup_cycles(500)
-            .measure_cycles(20_000)
-            .run_report()
-    };
-    let cycle = run(EngineKind::Cycle);
-    assert_eq!((cycle.served, cycle.per_processor_served[0], cycle.events), (78440, 9865, 20500));
-    let event = run(EngineKind::Event);
-    assert_eq!((event.served, event.per_processor_served[0], event.events), (78119, 9769, 80094));
+    let report = CrossbarSim::new(
+        SystemParams::new(8, 8, 1).unwrap().with_request_probability(0.6).unwrap(),
+    )
+    .seed(21)
+    .warmup_cycles(500)
+    .measure_cycles(20_000)
+    .run_report();
+    assert_eq!(
+        (report.served, report.per_processor_served[0], report.events),
+        (78440, 9865, 20500)
+    );
 }
 
 /// The hand-traced 2×1×2 saturation pin survives the workload axis:
