@@ -18,7 +18,7 @@ use crate::analytic::occupancy::Discipline;
 use crate::analytic::pfqn::pfqn_ebw_deterministic;
 use crate::analytic::reduced::ReducedChain;
 use crate::error::CoreError;
-use crate::params::SystemParams;
+use crate::params::{SystemParams, Workload};
 
 /// Which variant of the §3.2 expression to evaluate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -157,7 +157,8 @@ impl DepthAwareApprox {
     /// Propagates reduced-chain / product-form solver failures.
     pub fn new(params: &SystemParams) -> Result<Self, CoreError> {
         let e0 = ReducedChain::new(*params).ebw()?;
-        let e_inf = pfqn_ebw_deterministic(params)?.max(e0).min(params.max_ebw());
+        let e_inf =
+            pfqn_ebw_deterministic(params, &Workload::Uniform)?.max(e0).min(params.max_ebw());
         // Per-module utilization of the unbounded system, in
         // module-busy fraction: X requests per bus cycle, each holding
         // a module r cycles, spread over m modules.
@@ -286,7 +287,7 @@ mod tests {
     fn depth_aware_converges_to_the_unbounded_limit() {
         let params = SystemParams::new(8, 8, 8).unwrap();
         let deep = depth_aware_ebw(&params, 256).unwrap();
-        let limit = pfqn_ebw_deterministic(&params)
+        let limit = pfqn_ebw_deterministic(&params, &Workload::Uniform)
             .unwrap()
             .max(ReducedChain::new(params).ebw().unwrap())
             .min(params.max_ebw());

@@ -6,15 +6,14 @@
 //! (reference 1) whose cycle equals one processor cycle, so its
 //! bandwidth (requests per crossbar cycle) is directly an EBW.
 
-use busnet_markov::combinatorics::distinct_cells_distribution;
-
-use crate::analytic::occupancy::{Discipline, OccupancyChain};
+use crate::analytic::multibus::multibus_bw_exact;
 use crate::error::CoreError;
-use crate::params::SystemParams;
 
 /// Exact crossbar EBW by the occupancy Markov chain (Bhandarkar,
 /// reference 1): expected number of busy modules per cycle with
-/// persistent resubmission, `p = 1`.
+/// persistent resubmission, `p = 1`. The crossbar is the multiple-bus
+/// network (reference 5) with `b = min(n, m)`: no state has more busy
+/// modules than that, so every busy module serves.
 ///
 /// # Errors
 ///
@@ -30,9 +29,7 @@ use crate::params::SystemParams;
 /// # Ok::<(), busnet_core::CoreError>(())
 /// ```
 pub fn crossbar_ebw_exact(n: u32, m: u32) -> Result<f64, CoreError> {
-    // r is irrelevant for the crossbar discipline; any valid value works.
-    let params = SystemParams::new(n, m, 1)?;
-    OccupancyChain::new(params, Discipline::Crossbar).ebw()
+    multibus_bw_exact(n, m, n.min(m))
 }
 
 /// Strecker's memoryless approximation of crossbar bandwidth
@@ -50,28 +47,9 @@ pub fn crossbar_ebw_strecker(n: u32, m: u32) -> f64 {
     m_f * (1.0 - (1.0 - 1.0 / m_f).powi(n as i32))
 }
 
-/// One-shot combinational crossbar EBW: expected number of distinct
-/// modules requested when all `n` processors submit fresh uniform
-/// requests — the crossbar analog of the §3.2 model. Equal to
-/// [`crossbar_ebw_strecker`] analytically; provided for cross-checks.
-pub fn crossbar_ebw_combinational(n: u32, m: u32) -> f64 {
-    distinct_cells_distribution(n, m).iter().enumerate().map(|(x, p)| x as f64 * p).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strecker_equals_combinational() {
-        for n in [1u32, 2, 5, 8, 16] {
-            for m in [1u32, 3, 8, 16] {
-                let a = crossbar_ebw_strecker(n, m);
-                let b = crossbar_ebw_combinational(n, m);
-                assert!((a - b).abs() < 1e-10, "n={n} m={m}: {a} vs {b}");
-            }
-        }
-    }
 
     #[test]
     fn exact_below_strecker() {

@@ -47,12 +47,6 @@ impl ExactChain {
         ExactChain { inner: OccupancyChain::new(params, Discipline::MultiplexedMemoryPriority) }
     }
 
-    /// The underlying occupancy chain (for inspection of states and
-    /// distributions).
-    pub fn chain(&self) -> &OccupancyChain {
-        &self.inner
-    }
-
     /// Effective bandwidth in requests per processor cycle.
     ///
     /// # Errors

@@ -830,12 +830,6 @@ impl FluidModel {
     pub fn depth(&self) -> u32 {
         self.depth
     }
-
-    /// The state dimension (an RK4 step's cost is linear in it and
-    /// independent of `n`).
-    pub fn state_dimension(&self) -> usize {
-        self.dim()
-    }
 }
 
 /// The stationary distribution of a birth–death chain with constant
@@ -1081,7 +1075,7 @@ mod tests {
         let workload = Workload::weighted(weights).unwrap();
         let params = SystemParams::new(2048, 1024, 8).unwrap();
         let model = FluidModel::new(params, Buffering::Depth(2), &workload, 8.0).unwrap();
-        assert!(model.state_dimension() < 17 * 5 + 64);
+        assert!(model.dim() < 17 * 5 + 64);
         let s = model.solve(&FluidOptions::default());
         assert!(s.converged);
         assert!(s.hot.is_some());

@@ -27,7 +27,7 @@ use crate::params::SystemParams;
 /// // crossbar.
 /// let mb = multibus_bw_exact(4, 4, 4)?;
 /// let xb = busnet_core::analytic::crossbar::crossbar_ebw_exact(4, 4)?;
-/// assert!((mb - xb).abs() < 1e-12);
+/// assert_eq!(mb.to_bits(), xb.to_bits());
 /// # Ok::<(), busnet_core::CoreError>(())
 /// ```
 pub fn multibus_bw_exact(n: u32, m: u32, buses: u32) -> Result<f64, CoreError> {
@@ -59,12 +59,15 @@ mod tests {
 
     #[test]
     fn saturates_at_crossbar() {
-        let xb = crossbar_ebw_exact(6, 6).unwrap();
-        let mb = multibus_bw_exact(6, 6, 6).unwrap();
-        assert!((xb - mb).abs() < 1e-12);
-        // More buses than modules changes nothing.
-        let extra = multibus_bw_exact(6, 6, 32).unwrap();
-        assert!((extra - xb).abs() < 1e-12);
+        // No state has more than min(n, m) busy modules, so from that
+        // bus count on the chain is the crossbar's, bit for bit.
+        for (n, m) in [(6, 6), (4, 7), (7, 3)] {
+            let xb = crossbar_ebw_exact(n, m).unwrap();
+            for buses in [n.min(m), n.max(m), 32] {
+                let mb = multibus_bw_exact(n, m, buses).unwrap();
+                assert_eq!(mb.to_bits(), xb.to_bits(), "({n},{m}) with {buses} buses");
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! 2. The `K` released processors immediately resubmit, each picking a
 //!    module uniformly at random (hypotheses *e*/*f* with `p = 1`).
 //!
-//! The chain is exact for the crossbar (reference 1), the multiple-bus
-//! network (reference 5, `cap = min(x, b)`) and the multiplexed single
+//! The chain is exact for the multiple-bus network (reference 5,
+//! `cap = min(x, b)`), and so for the crossbar (reference 1), which is
+//! that network with `b = min(n, m)`, and for the multiplexed single
 //! bus with priority to memories (§3.1.1, `cap = min(x, r+1)`); only
-//! the EBW weighting differs between the three (see
+//! the EBW weighting differs between the two disciplines (see
 //! [`Discipline::ebw_weight`]).
 
 use busnet_markov::chain::ChainBuilder;
@@ -34,11 +35,9 @@ pub type OccupancyState = Vec<u32>;
 /// per-epoch service cap and the EBW weight per state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Discipline {
-    /// Full crossbar (paper reference 1): every busy module serves one
-    /// request per cycle.
-    Crossbar,
     /// Multiple-bus network with `buses` buses (paper reference 5): at
-    /// most `buses` modules serve per cycle.
+    /// most `buses` modules serve per cycle. With `buses ≥ min(n, m)`
+    /// every busy module serves: the full crossbar (reference 1).
     MultipleBus {
         /// Number of buses `b ≥ 1`.
         buses: u32,
@@ -55,7 +54,6 @@ impl Discipline {
     /// are busy.
     pub fn service_cap(&self, x: u32, params: &SystemParams) -> u32 {
         match self {
-            Discipline::Crossbar => x,
             Discipline::MultipleBus { buses } => x.min(*buses),
             Discipline::MultiplexedMemoryPriority => x.min(params.r() + 1),
         }
@@ -69,7 +67,6 @@ impl Discipline {
     /// `(r+2)/2` beyond.
     pub fn ebw_weight(&self, x: u32, params: &SystemParams) -> f64 {
         match self {
-            Discipline::Crossbar => f64::from(x),
             Discipline::MultipleBus { buses } => f64::from(x.min(*buses)),
             Discipline::MultiplexedMemoryPriority => {
                 let r = params.r();
@@ -91,9 +88,9 @@ impl Discipline {
 /// use busnet_core::analytic::occupancy::{Discipline, OccupancyChain};
 /// use busnet_core::params::SystemParams;
 ///
-/// // 8×8 crossbar: the classic memory-interference chain.
+/// // 8×8 crossbar (8 buses): the classic memory-interference chain.
 /// let params = SystemParams::new(8, 8, 1)?;
-/// let chain = OccupancyChain::new(params, Discipline::Crossbar);
+/// let chain = OccupancyChain::new(params, Discipline::MultipleBus { buses: 8 });
 /// let ebw = chain.ebw()?;
 /// assert!(ebw > 4.5 && ebw < 5.5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -108,16 +105,6 @@ impl OccupancyChain {
     /// Creates the chain description (nothing is computed yet).
     pub fn new(params: SystemParams, discipline: Discipline) -> Self {
         OccupancyChain { params, discipline }
-    }
-
-    /// The parameters this chain was built for.
-    pub fn params(&self) -> &SystemParams {
-        &self.params
-    }
-
-    /// The modeled discipline.
-    pub fn discipline(&self) -> Discipline {
-        self.discipline
     }
 
     /// Builds the reachable state space and transition matrix.
@@ -284,7 +271,7 @@ fn distribute_uniform(
     //   balls! · Π_groups [ Π_a 1/a! · sizeₘᵤₗₜ ] / m^balls
     // where sizeₘᵤₗₜ = s_g! / Π mult_d! counts the module arrangements
     // within the group.
-    let allocations = bounded_compositions_unbounded(balls, groups.len());
+    let allocations = bounded_compositions(balls, &vec![balls; groups.len()]);
     let base = factorial(balls) / f64::from(m).powi(balls as i32) * scale;
     for alloc in allocations {
         // Per group: partitions of t_g into at most s_g parts.
@@ -311,16 +298,12 @@ fn distribute_uniform(
                 }
                 // Arrangements: size! / Π mult_d! over the FULL multiset
                 // (including the zero-addition modules).
-                let mut mults: Vec<u32> = Vec::new();
-                let mut grouped = group_values(pat);
+                let mut mults: Vec<u32> = group_values(pat).iter().map(|g| g.1).collect();
                 let zeros = size - pat.len() as u32;
                 if zeros > 0 {
-                    grouped.push((0, zeros));
+                    mults.push(zeros);
                 }
-                for (_, c) in grouped {
-                    mults.push(c);
-                }
-                factor *= multinomial_from_mults(size, &mults);
+                factor *= multinomial(&mults);
                 let mut next_values = new_values.clone();
                 for &a in pat {
                     next_values.push(value + a);
@@ -334,19 +317,6 @@ fn distribute_uniform(
     }
 }
 
-/// `size! / Π mults_i!` where `Σ mults = size`.
-fn multinomial_from_mults(size: u32, mults: &[u32]) -> f64 {
-    debug_assert_eq!(mults.iter().sum::<u32>(), size);
-    multinomial(mults)
-}
-
-/// All vectors of length `k` of non-negative integers summing to
-/// `total` (no upper bounds).
-fn bounded_compositions_unbounded(total: u32, k: usize) -> Vec<Vec<u32>> {
-    let bounds = vec![total; k];
-    bounded_compositions(total, &bounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,11 +325,16 @@ mod tests {
         SystemParams::new(n, m, r).unwrap()
     }
 
+    /// The crossbar: one bus per module that can be busy.
+    fn crossbar(n: u32, m: u32) -> Discipline {
+        Discipline::MultipleBus { buses: n.min(m) }
+    }
+
     #[test]
     fn rows_sum_to_one_across_disciplines() {
         for (n, m) in [(2, 2), (3, 5), (5, 3), (8, 4)] {
             for d in [
-                Discipline::Crossbar,
+                Discipline::MultipleBus { buses: n.min(m) },
                 Discipline::MultipleBus { buses: 2 },
                 Discipline::MultiplexedMemoryPriority,
             ] {
@@ -368,6 +343,26 @@ mod tests {
                 let (space, matrix) = chain.build().unwrap();
                 assert!(!space.is_empty());
                 assert!(matrix.len() == space.len());
+            }
+        }
+    }
+
+    #[test]
+    fn state_count_is_the_bounded_partition_count() {
+        // The evaluators' ceiling counts partitions of n into at most
+        // min(n, m) parts; the explored space is exactly those.
+        use busnet_markov::combinatorics::partition_count;
+        for (n, m) in [(1, 1), (1, 5), (5, 1), (3, 5), (5, 3), (6, 6), (9, 4), (4, 9), (10, 10)] {
+            let count = partition_count(n, n.min(m), u64::MAX).unwrap();
+            for d in [
+                crossbar(n, m),
+                Discipline::MultipleBus { buses: 1 },
+                Discipline::MultiplexedMemoryPriority,
+            ] {
+                for r in [1, 3, 12] {
+                    let (space, _) = OccupancyChain::new(params(n, m, r), d).build().unwrap();
+                    assert_eq!(space.len() as u64, count, "({n},{m},r={r}) {d:?}");
+                }
             }
         }
     }
@@ -383,7 +378,7 @@ mod tests {
 
     #[test]
     fn stationary_two_by_two_is_half_half() {
-        let chain = OccupancyChain::new(params(2, 2, 9), Discipline::Crossbar);
+        let chain = OccupancyChain::new(params(2, 2, 9), crossbar(2, 2));
         let (space, pi) = chain.stationary().unwrap();
         let i11 = space.index_of(&vec![1, 1]).unwrap();
         let i2 = space.index_of(&vec![2]).unwrap();
@@ -394,7 +389,7 @@ mod tests {
     #[test]
     fn crossbar_ebw_bounded_by_min_nm() {
         for (n, m) in [(2, 4), (4, 2), (6, 6), (8, 4)] {
-            let chain = OccupancyChain::new(params(n, m, 1), Discipline::Crossbar);
+            let chain = OccupancyChain::new(params(n, m, 1), crossbar(n, m));
             let ebw = chain.ebw().unwrap();
             assert!(ebw > 0.0 && ebw <= f64::from(n.min(m)) + 1e-12, "({n},{m}): {ebw}");
         }
@@ -404,14 +399,14 @@ mod tests {
     fn crossbar_known_8x8_value() {
         // Bhandarkar's exact memory-interference bandwidth for an 8×8
         // system is ≈ 4.94 (the paper's §7 compares Table 3a to it).
-        let chain = OccupancyChain::new(params(8, 8, 1), Discipline::Crossbar);
+        let chain = OccupancyChain::new(params(8, 8, 1), crossbar(8, 8));
         let ebw = chain.ebw().unwrap();
         assert!((ebw - 4.94).abs() < 0.02, "8x8 crossbar EBW = {ebw}");
     }
 
     #[test]
     fn multiple_bus_caps_at_bus_count() {
-        let unlimited = OccupancyChain::new(params(8, 8, 1), Discipline::Crossbar).ebw().unwrap();
+        let unlimited = OccupancyChain::new(params(8, 8, 1), crossbar(8, 8)).ebw().unwrap();
         let capped = OccupancyChain::new(params(8, 8, 1), Discipline::MultipleBus { buses: 2 })
             .ebw()
             .unwrap();

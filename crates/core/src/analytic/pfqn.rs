@@ -26,32 +26,33 @@ use busnet_queueing::{BuzenSweep, ClosedNetwork, MvaSweep, Station, StationKind}
 use crate::error::CoreError;
 use crate::params::{SystemParams, Workload};
 
-/// Builds the central-server product-form network for `params`.
+/// Builds the central-server network for `params` with `channels`
+/// multiplexed bus channels and **per-module visit ratios**: memory
+/// station `j` is visited with probability `reference[j]` per access
+/// (the workload's module reference distribution; hypothesis *e*'s
+/// uniform `1/m` for the paper's workload). Zero-mass modules are
+/// simply absent from the network. One channel is the paper's single
+/// FIFO bus; more make the bus an M/M/`channels` station, the
+/// multiplexed multiple-bus system §7 alludes to via its reference 5
+/// (this repository's extension).
 ///
 /// # Errors
 ///
-/// Propagates station-validation failures (cannot occur for valid
-/// [`SystemParams`], but surfaced rather than unwrapped).
-pub fn buffered_network(params: &SystemParams) -> Result<ClosedNetwork, CoreError> {
-    let m = params.m();
-    buffered_network_weighted(params, &vec![1.0 / f64::from(m); m as usize])
-}
-
-/// Builds the central-server network with **non-uniform visit
-/// ratios**: memory station `j` is visited with probability
-/// `reference[j]` per access (the workload's module reference
-/// distribution), instead of hypothesis *e*'s uniform `1/m`.
-/// Zero-mass modules are simply absent from the network.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] when `reference` does not have one
-/// entry per module or is not a distribution; otherwise propagates
-/// station-validation failures.
-pub fn buffered_network_weighted(
+/// [`CoreError::InvalidParameter`] when `channels == 0` or when
+/// `reference` does not have one entry per module or is not a
+/// distribution; otherwise propagates station-validation failures.
+pub fn buffered_network(
     params: &SystemParams,
     reference: &[f64],
+    channels: u32,
 ) -> Result<ClosedNetwork, CoreError> {
+    if channels == 0 {
+        return Err(CoreError::InvalidParameter {
+            name: "channels",
+            value: "0".to_owned(),
+            constraint: "channels >= 1",
+        });
+    }
     let m = params.m();
     if reference.len() != m as usize {
         return Err(CoreError::InvalidParameter {
@@ -68,8 +69,12 @@ pub fn buffered_network_weighted(
             constraint: "non-negative visit ratios summing to 1",
         });
     }
+    let bus = match channels {
+        1 => StationKind::Queueing,
+        servers => StationKind::MultiServer { servers },
+    };
     let mut net = ClosedNetwork::new();
-    net.add_station(Station::new("bus", StationKind::Queueing, 2.0, 1.0)?);
+    net.add_station(Station::new("bus", bus, 2.0, 1.0)?);
     for (j, &q) in reference.iter().enumerate() {
         if q > 0.0 {
             net.add_station(Station::new(
@@ -87,52 +92,61 @@ pub fn buffered_network_weighted(
     Ok(net)
 }
 
-/// EBW predicted by the product-form model under a non-uniform
-/// [`Workload`], via exact MVA on the visit-ratio network
-/// ([`buffered_network_weighted`]). The workload must reference
-/// modules through a distribution ([`Workload::Uniform`],
-/// [`Workload::HotSpot`], [`Workload::Weighted`]) — heterogeneous
-/// think probabilities have no single-class product-form counterpart
-/// and are rejected.
+/// EBW predicted by the exponential product-form model under
+/// `workload`, via exact MVA on the single-bus visit-ratio network
+/// ([`buffered_network`]). The workload must reference modules through
+/// a distribution ([`Workload::Uniform`], [`Workload::HotSpot`],
+/// [`Workload::Weighted`]) — heterogeneous think probabilities have no
+/// single-class product-form counterpart and are rejected.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidParameter`] for [`Workload::Heterogeneous`];
 /// otherwise propagates network construction/solution failures.
-pub fn pfqn_ebw_workload(params: &SystemParams, workload: &Workload) -> Result<f64, CoreError> {
+///
+/// # Example
+///
+/// ```
+/// use busnet_core::analytic::pfqn::pfqn_ebw;
+/// use busnet_core::params::{SystemParams, Workload};
+///
+/// let params = SystemParams::new(8, 16, 8)?;
+/// let ebw = pfqn_ebw(&params, &Workload::Uniform)?;
+/// assert!(ebw > 0.0 && ebw <= params.max_ebw());
+/// # Ok::<(), busnet_core::CoreError>(())
+/// ```
+pub fn pfqn_ebw(params: &SystemParams, workload: &Workload) -> Result<f64, CoreError> {
     let net = workload_network(params, workload)?;
     let sol = net.mva(params.n())?;
+    // Throughput is in accesses per bus cycle; EBW is per processor
+    // cycle (r + 2).
     Ok(sol.throughput * f64::from(params.processor_cycle()))
 }
 
-/// [`pfqn_ebw_workload`] solved by Buzen's convolution (the
-/// cross-check pair).
+/// [`pfqn_ebw`] solved by Buzen's convolution (the cross-check pair).
 ///
 /// # Errors
 ///
-/// As [`pfqn_ebw_workload`].
-pub fn pfqn_ebw_buzen_workload(
-    params: &SystemParams,
-    workload: &Workload,
-) -> Result<f64, CoreError> {
+/// As [`pfqn_ebw`].
+pub fn pfqn_ebw_buzen(params: &SystemParams, workload: &Workload) -> Result<f64, CoreError> {
     let net = workload_network(params, workload)?;
     let sol = net.buzen(params.n())?;
     Ok(sol.throughput * f64::from(params.processor_cycle()))
 }
 
-/// [`pfqn_ebw_workload`] for a population-axis group: every entry of
+/// [`pfqn_ebw`] for a population-axis group: every entry of
 /// `populations` solved against ONE shared network (the network
 /// construction does not involve `n`) through a single incremental
 /// [`MvaSweep`] pass — O(max n) total recursion work instead of
 /// O(Σ nᵢ). Each returned EBW is bit-identical to the corresponding
-/// scratch [`pfqn_ebw_workload`] call, because the scratch solvers are
+/// scratch [`pfqn_ebw`] call, because the scratch solvers are
 /// themselves the final yield of the same sweep.
 ///
 /// # Errors
 ///
-/// As [`pfqn_ebw_workload`] for network construction; per-population
-/// solution failures land in the inner results.
-pub fn pfqn_ebw_workload_group(
+/// As [`pfqn_ebw`] for network construction; per-population solution
+/// failures land in the inner results.
+pub fn pfqn_ebw_group(
     params: &SystemParams,
     workload: &Workload,
     populations: &[u32],
@@ -152,16 +166,16 @@ pub fn pfqn_ebw_workload_group(
     Ok(populations.iter().map(|&n| Ok(throughput_at[n as usize] * cycle)).collect())
 }
 
-/// [`pfqn_ebw_workload_group`] solved by Buzen's convolution. Unlike
-/// MVA, convolution can fail per population (normalization-constant
+/// [`pfqn_ebw_group`] solved by Buzen's convolution. Unlike MVA,
+/// convolution can fail per population (normalization-constant
 /// overflow), so each entry carries its own result — identical to what
-/// the scratch [`pfqn_ebw_buzen_workload`] call at that population
-/// would return.
+/// the scratch [`pfqn_ebw_buzen`] call at that population would
+/// return.
 ///
 /// # Errors
 ///
-/// As [`pfqn_ebw_workload_group`].
-pub fn pfqn_ebw_buzen_workload_group(
+/// As [`pfqn_ebw_group`].
+pub fn pfqn_ebw_buzen_group(
     params: &SystemParams,
     workload: &Workload,
     populations: &[u32],
@@ -184,16 +198,20 @@ pub fn pfqn_ebw_buzen_workload_group(
         .collect())
 }
 
-/// The deterministic-service (scv = 0) AMVA counterpart of
-/// [`pfqn_ebw_workload`]: the constant-`r` analogue that tracks the
-/// simulated system closely (the exponential model is pessimistic by
-/// design). This is the vehicle pinned against simulation at the
-/// Table 3–4 points under hot-spot workloads.
+/// EBW of the buffered network under *deterministic* (constant)
+/// service, via approximate MVA with the FCFS residual correction
+/// (`scv = 0`). The paper's system serves in exactly `r` cycles, so
+/// this sits between the pessimistic exponential model ([`pfqn_ebw`])
+/// and the simulated constant-service system — it is the
+/// unbounded-buffer limit used by the depth-aware approximation
+/// ([`crate::analytic::approx::depth_aware_ebw`]) and the vehicle
+/// pinned against simulation at the Table 3–4 points under hot-spot
+/// workloads.
 ///
 /// # Errors
 ///
-/// As [`pfqn_ebw_workload`].
-pub fn pfqn_ebw_deterministic_workload(
+/// As [`pfqn_ebw`].
+pub fn pfqn_ebw_deterministic(
     params: &SystemParams,
     workload: &Workload,
 ) -> Result<f64, CoreError> {
@@ -214,108 +232,18 @@ fn workload_network(
         });
     }
     workload.validate(params.n(), params.m())?;
-    buffered_network_weighted(params, &workload.module_distribution(params.m()))
+    buffered_network(params, &workload.module_distribution(params.m()), 1)
 }
 
-/// EBW predicted by the exponential product-form model, via exact MVA.
+/// EBW predicted by the exponential model of the paper's uniform
+/// workload with `channels` multiplexed bus channels.
 ///
 /// # Errors
 ///
-/// Propagates network construction/solution failures.
-///
-/// # Example
-///
-/// ```
-/// use busnet_core::analytic::pfqn::pfqn_ebw;
-/// use busnet_core::params::SystemParams;
-///
-/// let params = SystemParams::new(8, 16, 8)?;
-/// let ebw = pfqn_ebw(&params)?;
-/// assert!(ebw > 0.0 && ebw <= params.max_ebw());
-/// # Ok::<(), busnet_core::CoreError>(())
-/// ```
-pub fn pfqn_ebw(params: &SystemParams) -> Result<f64, CoreError> {
-    let net = buffered_network(params)?;
-    let sol = net.mva(params.n())?;
-    // Throughput is in accesses per bus cycle; EBW is per processor
-    // cycle (r + 2).
-    Ok(sol.throughput * f64::from(params.processor_cycle()))
-}
-
-/// EBW of the buffered network under *deterministic* (constant)
-/// service, via approximate MVA with the FCFS residual correction
-/// (`scv = 0`). The paper's system serves in exactly `r` cycles, so
-/// this sits between the pessimistic exponential model ([`pfqn_ebw`])
-/// and the simulated constant-service system — it is the
-/// unbounded-buffer limit used by the depth-aware approximation
-/// ([`crate::analytic::approx::depth_aware_ebw`]).
-///
-/// # Errors
-///
-/// Propagates network construction/solution failures.
-pub fn pfqn_ebw_deterministic(params: &SystemParams) -> Result<f64, CoreError> {
-    let net = buffered_network(params)?;
-    let sol = net.amva_scv(params.n(), 0.0)?;
-    Ok(sol.throughput * f64::from(params.processor_cycle()))
-}
-
-/// Same model solved by Buzen's convolution — used as a cross-check of
-/// the two classic algorithms on the paper's own workload.
-///
-/// # Errors
-///
-/// Propagates network construction/solution failures.
-pub fn pfqn_ebw_buzen(params: &SystemParams) -> Result<f64, CoreError> {
-    let net = buffered_network(params)?;
-    let sol = net.buzen(params.n())?;
-    Ok(sol.throughput * f64::from(params.processor_cycle()))
-}
-
-/// The multi-channel generalization (this repository's extension): the
-/// bus becomes an M/M/`channels` station. Models the multiplexed
-/// multiple-bus system the paper's §7 alludes to via its reference 5.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] when `channels == 0`; otherwise
-/// propagates network failures.
-pub fn multichannel_network(
-    params: &SystemParams,
-    channels: u32,
-) -> Result<ClosedNetwork, CoreError> {
-    if channels == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "channels",
-            value: "0".to_owned(),
-            constraint: "channels >= 1",
-        });
-    }
-    let mut net = ClosedNetwork::new();
-    net.add_station(Station::new("bus", StationKind::MultiServer { servers: channels }, 2.0, 1.0)?);
-    let m = params.m();
-    for j in 0..m {
-        net.add_station(Station::new(
-            format!("mem{j}"),
-            StationKind::Queueing,
-            1.0 / f64::from(m),
-            f64::from(params.r()),
-        )?);
-    }
-    if params.p() < 1.0 {
-        let think = f64::from(params.processor_cycle()) * (1.0 - params.p()) / params.p();
-        net.add_station(Station::new("think", StationKind::Delay, 1.0, think)?);
-    }
-    Ok(net)
-}
-
-/// EBW predicted by the exponential model with `channels` multiplexed
-/// bus channels.
-///
-/// # Errors
-///
-/// See [`multichannel_network`].
+/// See [`buffered_network`].
 pub fn pfqn_ebw_multichannel(params: &SystemParams, channels: u32) -> Result<f64, CoreError> {
-    let net = multichannel_network(params, channels)?;
+    let net =
+        buffered_network(params, &Workload::Uniform.module_distribution(params.m()), channels)?;
     let sol = net.mva(params.n())?;
     Ok(sol.throughput * f64::from(params.processor_cycle()))
 }
@@ -328,12 +256,16 @@ mod tests {
         SystemParams::new(n, m, r).unwrap()
     }
 
+    fn uniform_ebw(p: &SystemParams) -> f64 {
+        pfqn_ebw(p, &Workload::Uniform).unwrap()
+    }
+
     #[test]
     fn mva_and_buzen_agree() {
         for (n, m, r) in [(4, 4, 4), (8, 16, 8), (8, 4, 12), (16, 16, 18)] {
             let p = params(n, m, r);
-            let a = pfqn_ebw(&p).unwrap();
-            let b = pfqn_ebw_buzen(&p).unwrap();
+            let a = uniform_ebw(&p);
+            let b = pfqn_ebw_buzen(&p, &Workload::Uniform).unwrap();
             assert!((a - b).abs() < 1e-8 * a, "({n},{m},{r}): {a} vs {b}");
         }
     }
@@ -342,7 +274,7 @@ mod tests {
     fn ebw_within_physical_bounds() {
         for (n, m, r) in [(2, 2, 2), (8, 16, 8), (16, 8, 24)] {
             let p = params(n, m, r);
-            let e = pfqn_ebw(&p).unwrap();
+            let e = uniform_ebw(&p);
             assert!(e > 0.0 && e <= p.max_ebw() + 1e-9, "({n},{m},{r}): {e}");
         }
     }
@@ -351,32 +283,33 @@ mod tests {
     fn single_customer_no_queueing() {
         // n = 1: cycle time = 2·1 + r exactly; EBW = (r+2)/(r+2) = 1.
         let p = params(1, 4, 6);
-        let e = pfqn_ebw(&p).unwrap();
+        let e = uniform_ebw(&p);
         assert!((e - 1.0).abs() < 1e-9, "{e}");
     }
 
     #[test]
     fn think_time_reduces_ebw() {
-        let full = pfqn_ebw(&params(8, 16, 8)).unwrap();
-        let half = pfqn_ebw(&params(8, 16, 8).with_request_probability(0.5).unwrap()).unwrap();
+        let full = uniform_ebw(&params(8, 16, 8));
+        let half = uniform_ebw(&params(8, 16, 8).with_request_probability(0.5).unwrap());
         assert!(half < full);
     }
 
     #[test]
     fn network_station_count() {
-        let net = buffered_network(&params(8, 16, 8)).unwrap();
+        let uniform = Workload::Uniform.module_distribution(16);
+        let net = buffered_network(&params(8, 16, 8), &uniform, 1).unwrap();
         assert_eq!(net.len(), 17); // bus + 16 memories, no think at p = 1
-        let net =
-            buffered_network(&params(8, 16, 8).with_request_probability(0.5).unwrap()).unwrap();
+        let half = params(8, 16, 8).with_request_probability(0.5).unwrap();
+        let net = buffered_network(&half, &uniform, 1).unwrap();
         assert_eq!(net.len(), 18);
     }
 
     #[test]
     fn one_channel_matches_base_model() {
         let p = params(8, 16, 8);
-        let base = pfqn_ebw(&p).unwrap();
+        let base = uniform_ebw(&p);
         let one = pfqn_ebw_multichannel(&p, 1).unwrap();
-        assert!((base - one).abs() < 1e-12);
+        assert_eq!(base.to_bits(), one.to_bits());
     }
 
     #[test]
@@ -398,12 +331,21 @@ mod tests {
 
     #[test]
     fn uniform_workload_matches_base_model_exactly() {
-        let p = params(8, 16, 8);
-        let base = pfqn_ebw(&p).unwrap();
-        let uniform = pfqn_ebw_workload(&p, &Workload::Uniform).unwrap();
-        assert!((base - uniform).abs() < 1e-12);
-        let buzen = pfqn_ebw_buzen_workload(&p, &Workload::Uniform).unwrap();
-        assert!((base - buzen).abs() < 1e-8 * base);
+        // The paper's network with hypothesis e's visit ratio 1/m
+        // spelled out literally, against the workload path.
+        for p in [params(8, 16, 8), params(5, 3, 4).with_request_probability(0.5).unwrap()] {
+            let literal = vec![1.0 / f64::from(p.m()); p.m() as usize];
+            let net = buffered_network(&p, &literal, 1).unwrap();
+            let cycle = f64::from(p.processor_cycle());
+            let base = net.mva(p.n()).unwrap().throughput * cycle;
+            assert_eq!(uniform_ebw(&p).to_bits(), base.to_bits());
+            let buzen = net.buzen(p.n()).unwrap().throughput * cycle;
+            let uniform_buzen = pfqn_ebw_buzen(&p, &Workload::Uniform).unwrap();
+            assert_eq!(uniform_buzen.to_bits(), buzen.to_bits());
+            let det = net.amva_scv(p.n(), 0.0).unwrap().throughput * cycle;
+            let uniform_det = pfqn_ebw_deterministic(&p, &Workload::Uniform).unwrap();
+            assert_eq!(uniform_det.to_bits(), det.to_bits());
+        }
     }
 
     #[test]
@@ -412,7 +354,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for fraction in [0.0, 0.2, 0.4, 0.6, 0.8] {
             let w = Workload::hot_spot(fraction, 0).unwrap();
-            let e = pfqn_ebw_workload(&p, &w).unwrap();
+            let e = pfqn_ebw(&p, &w).unwrap();
             assert!(e < prev + 1e-9, "fraction {fraction}: {e} after {prev}");
             assert!(e > 0.0 && e <= p.max_ebw() + 1e-9);
             prev = e;
@@ -426,7 +368,7 @@ mod tests {
         // bus cycle, EBW → (r+2)/r.
         let p = params(8, 8, 8);
         let w = Workload::hot_spot(1.0, 3).unwrap();
-        let e = pfqn_ebw_workload(&p, &w).unwrap();
+        let e = pfqn_ebw(&p, &w).unwrap();
         assert!((e - 10.0 / 8.0).abs() < 0.05, "serialized EBW {e}");
     }
 
@@ -435,8 +377,8 @@ mod tests {
         let p = params(8, 4, 8);
         let hot = Workload::hot_spot(0.4, 1).unwrap();
         let weighted = Workload::weighted(hot.module_distribution(4)).unwrap();
-        let a = pfqn_ebw_workload(&p, &hot).unwrap();
-        let b = pfqn_ebw_workload(&p, &weighted).unwrap();
+        let a = pfqn_ebw(&p, &hot).unwrap();
+        let b = pfqn_ebw(&p, &weighted).unwrap();
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
@@ -445,22 +387,22 @@ mod tests {
         // Weights concentrated on 2 of 4 modules ≡ a 2-module system
         // with uniform references (same r, same population).
         let w = Workload::weighted([1.0, 0.0, 1.0, 0.0]).unwrap();
-        let a = pfqn_ebw_workload(&params(8, 4, 8), &w).unwrap();
-        let b = pfqn_ebw(&params(8, 2, 8)).unwrap();
+        let a = pfqn_ebw(&params(8, 4, 8), &w).unwrap();
+        let b = uniform_ebw(&params(8, 2, 8));
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
     #[test]
     fn heterogeneous_thinking_is_out_of_domain() {
         let w = Workload::heterogeneous([1.0; 8]).unwrap();
-        assert!(pfqn_ebw_workload(&params(8, 8, 8), &w).is_err());
+        assert!(pfqn_ebw(&params(8, 8, 8), &w).is_err());
     }
 
     #[test]
     fn mismatched_reference_distribution_rejected() {
         let p = params(4, 4, 4);
-        assert!(buffered_network_weighted(&p, &[0.5, 0.5]).is_err()); // wrong length
-        assert!(buffered_network_weighted(&p, &[0.5, 0.5, 0.5, 0.5]).is_err()); // sum != 1
-        assert!(buffered_network_weighted(&p, &[1.5, -0.5, 0.0, 0.0]).is_err());
+        assert!(buffered_network(&p, &[0.5, 0.5], 1).is_err()); // wrong length
+        assert!(buffered_network(&p, &[0.5, 0.5, 0.5, 0.5], 1).is_err()); // sum != 1
+        assert!(buffered_network(&p, &[1.5, -0.5, 0.0, 0.0], 1).is_err());
     }
 }

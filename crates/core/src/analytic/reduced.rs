@@ -50,7 +50,6 @@
 //! simulator to within ±3% over `p ∈ [0.2, 1.0]` (pinned by tests).
 
 use busnet_markov::chain::ChainBuilder;
-use busnet_markov::combinatorics::surjections;
 use busnet_markov::solve::stationary_dense;
 use busnet_markov::{StateSpace, TransitionMatrix};
 
@@ -203,17 +202,6 @@ impl ReducedChain {
         Ok(f64::from(self.params.processor_cycle()) * p_return)
     }
 
-    /// Bus utilization `Pb = π(Return) + π(Request)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain or solver failures.
-    pub fn bus_utilization(&self) -> Result<f64, CoreError> {
-        let (space, matrix) = self.build()?;
-        let pi = stationary_dense(&matrix)?;
-        Ok(space.iter().filter(|(_, s)| s.bus != BusPhase::Idle).map(|(i, _)| pi[i]).sum())
-    }
-
     /// Number of reachable states (the paper prints a closed form
     /// `S = (3v² + 3v − 2)/2` for `r > min(n,m)`; see EXPERIMENTS.md for
     /// the measured comparison).
@@ -223,6 +211,31 @@ impl ReducedChain {
     /// Propagates chain failures.
     pub fn state_count(&self) -> Result<usize, CoreError> {
         Ok(self.build()?.0.len())
+    }
+
+    /// An upper bound on [`ReducedChain::state_count`] from the ranges
+    /// of the state components alone, without building the chain. With
+    /// `v = min(n, m)`: at most `v` modules are demanded (`c ≤ v`); at
+    /// most `r` are in service, since `P1 = 1` at `i = r`; and a busy
+    /// bus carries one of the `c` demanded modules, leaving `i + e ≤
+    /// c − 1`. An idle bus has `i = c` and `e = 0`. The `p < 1`
+    /// extension multiplies by the `n + 1` thinking counts. For
+    /// `r > v` this is `(v + 1) + v(v + 1)(v + 2)/3`, a cubic cover of
+    /// the paper's quadratic `(3v² + 3v − 2)/2`.
+    pub fn state_bound(&self) -> u64 {
+        let v = u128::from(self.params.min_nm());
+        let r = u128::from(self.params.r());
+        let idle = v.min(r) + 1;
+        // Busy bus, c demanded: Σ_{i=0}^{min(c−1, r)} (c − i) choices of
+        // (i, e), in each of the two busy phases.
+        let busy: u128 = (1..=v)
+            .map(|c| {
+                let top = (c - 1).min(r);
+                (top + 1) * c - top * (top + 1) / 2
+            })
+            .sum();
+        let thinking = if self.params.p() < 1.0 { u128::from(self.params.n()) + 1 } else { 1 };
+        u64::try_from((idle + 2 * busy) * thinking).unwrap_or(u64::MAX)
     }
 
     fn p1(&self, in_service: u32) -> f64 {
@@ -245,8 +258,7 @@ impl ReducedChain {
             // occur; forced unique as the safe limit.
             return 1.0;
         }
-        let unique = surjections(engaged - 1, demanded - 1);
-        let shared = surjections(engaged - 1, demanded);
+        let (unique, shared) = surjection_pair(engaged - 1, demanded);
         unique / (unique + shared)
     }
 
@@ -436,6 +448,33 @@ impl ReducedChain {
     }
 }
 
+/// `(surj(n, k − 1), surj(n, k))` for `k ≥ 1`, both scaled by one
+/// power of two: one rolling row of `surj(n, j) = j·(surj(n−1, j−1) +
+/// surj(n−1, j))`, rescaled by `2^-960` whenever an entry passes
+/// `2^960`. Unscaled, both counts pass `f64::MAX` at `k = 8` once `n`
+/// exceeds about 341 (`inf/inf`). Power-of-two scaling is exact, so
+/// the pair's ratio keeps its bits wherever the counts were finite.
+fn surjection_pair(n: u32, k: u32) -> (f64, f64) {
+    debug_assert!(k >= 1);
+    let (threshold, scale) = (2f64.powi(960), 2f64.powi(-960));
+    let k = k as usize;
+    let mut row = vec![0.0f64; k + 1];
+    row[0] = 1.0; // surj(0, 0)
+    for step in 1..=n as usize {
+        // In place from high to low, as in `surjections`.
+        for j in (1..=k.min(step)).rev() {
+            row[j] = j as f64 * (row[j - 1] + row[j]);
+        }
+        row[0] = 0.0; // surj(n ≥ 1, 0) = 0
+        if row.iter().any(|&x| x > threshold) {
+            for x in &mut row {
+                *x *= scale;
+            }
+        }
+    }
+    (row[k - 1], row[k])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +583,11 @@ mod tests {
         let params = SystemParams::new(8, 8, 8).unwrap();
         let chain = ReducedChain::new(params);
         let ebw = chain.ebw().unwrap();
-        let pb = chain.bus_utilization().unwrap();
+        let (space, matrix) = chain.build().unwrap();
+        let pi = stationary_dense(&matrix).unwrap();
+        // Bus utilization Pb = π(Return) + π(Request).
+        let pb: f64 =
+            space.iter().filter(|(_, s)| s.bus != BusPhase::Idle).map(|(i, _)| pi[i]).sum();
         // EBW = Pb (r+2)/2 requires π(Return) = π(Request).
         assert!((ebw - pb * params.max_ebw()).abs() < 1e-9);
     }
@@ -563,6 +606,59 @@ mod tests {
             let formula = (3 * v * v + 3 * v - 2) / 2;
             assert_eq!(count as u32, formula, "v = {v}");
         }
+    }
+
+    /// The component-range bound covers the explored space everywhere:
+    /// `r` above and below `v = min(n, m)`, and `p < 1`.
+    #[test]
+    fn state_bound_covers_the_explored_space() {
+        for (n, m) in [(1u32, 1u32), (1, 4), (4, 1), (3, 5), (6, 6), (8, 4), (5, 12), (12, 5)] {
+            for r in [1u32, 2, 3, 5, 8, 15] {
+                for p in [1.0, 0.5] {
+                    let params =
+                        SystemParams::new(n, m, r).unwrap().with_request_probability(p).unwrap();
+                    let chain = ReducedChain::new(params);
+                    let explored = chain.state_count().unwrap() as u64;
+                    let bound = chain.state_bound();
+                    assert!(bound >= explored, "({n},{m},{r},p={p}): bound {bound} < {explored}");
+                }
+            }
+        }
+        // The closed form for r > v.
+        for v in [2u32, 4, 8, 16] {
+            let chain = ReducedChain::new(SystemParams::new(v, v, v + 7).unwrap());
+            let v = u64::from(v);
+            assert_eq!(chain.state_bound(), (v + 1) + v * (v + 1) * (v + 2) / 3);
+        }
+    }
+
+    #[test]
+    fn surjection_pair_is_exact_until_it_rescales() {
+        use busnet_markov::combinatorics::surjections;
+        let p2 = |(unique, shared): (f64, f64)| unique / (unique + shared);
+        for n in 0..=40u32 {
+            for k in 1..=12u32 {
+                let pair = (surjections(n, k - 1), surjections(n, k));
+                assert_eq!(surjection_pair(n, k), pair, "surj({n}, {k} - 1..={k})");
+            }
+        }
+        // Rescaled once, with both counts still finite unscaled: P2
+        // keeps its bits.
+        for (n, k) in [(1000, 2), (420, 5), (330, 8)] {
+            let pair = (surjections(n, k - 1), surjections(n, k));
+            assert!(pair.1.is_finite() && pair.1 > 2f64.powi(960), "surj({n}, {k})");
+            assert_eq!(p2(surjection_pair(n, k)).to_bits(), p2(pair).to_bits(), "({n}, {k})");
+        }
+        // Past f64::MAX the pair is rescaled and its ratio stays finite
+        // (unscaled, both counts are infinite and the ratio NaN).
+        assert!(surjections(511, 8).is_infinite());
+        let (unique, shared) = surjection_pair(511, 8);
+        assert!(unique.is_finite() && shared.is_finite());
+        // surj(n, 7)/surj(n, 8) → (7/8)^n, with corrections of order
+        // (6/7)^n far below f64 precision here.
+        let ratio = unique / shared;
+        let limit = 0.875f64.powi(511);
+        assert!((ratio - limit).abs() <= 1e-12 * limit, "{ratio} vs {limit}");
     }
 
     /// The printed (steals) reading inflates the space — recorded as a

@@ -810,12 +810,6 @@ impl SystemParams {
     pub fn max_ebw(&self) -> f64 {
         f64::from(self.r + 2) / 2.0
     }
-
-    /// Returns a copy with `n` and `m` swapped (used by the symmetric
-    /// approximate model and symmetry tests).
-    pub fn transposed(&self) -> SystemParams {
-        SystemParams { n: self.m, m: self.n, r: self.r, p: self.p }
-    }
 }
 
 #[cfg(test)]
@@ -856,13 +850,6 @@ mod tests {
         assert!(p.with_request_probability(1.5).is_err());
         assert!(p.with_request_probability(f64::NAN).is_err());
         assert_eq!(p.with_request_probability(0.25).unwrap().p(), 0.25);
-    }
-
-    #[test]
-    fn transpose_swaps_n_and_m() {
-        let p = SystemParams::new(4, 6, 3).unwrap().transposed();
-        assert_eq!((p.n(), p.m()), (6, 4));
-        assert_eq!(p.r(), 3);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! # Ok::<(), busnet_core::CoreError>(())
 //! ```
 
+use busnet_markov::combinatorics::partition_count;
 use busnet_sim::counters::WindowSeries;
 use busnet_sim::event::EngineKind;
 use busnet_sim::exec::{parallel_map, ExecutionMode};
@@ -46,10 +47,7 @@ use crate::analytic::crossbar::crossbar_ebw_exact;
 use crate::analytic::exact_chain::ExactChain;
 use crate::analytic::fluid::{FluidModel, FluidOptions};
 use crate::analytic::multibus::multibus_bw_exact;
-use crate::analytic::pfqn::{
-    pfqn_ebw_buzen_workload, pfqn_ebw_buzen_workload_group, pfqn_ebw_workload,
-    pfqn_ebw_workload_group,
-};
+use crate::analytic::pfqn::{pfqn_ebw, pfqn_ebw_buzen, pfqn_ebw_buzen_group, pfqn_ebw_group};
 use crate::analytic::reduced::ReducedChain;
 use crate::cache::{f64_hex, workload_fingerprint};
 use crate::error::CoreError;
@@ -559,6 +557,52 @@ fn analytic_domain(s: &Scenario) -> bool {
     s.buses == 1 && s.params.n() <= 4096 && s.params.m() <= 4096
 }
 
+/// Most occupancy-chain states (partitions of `n` into at most
+/// `min(n, m)` parts) the exact, crossbar and multibus evaluators
+/// accept. On a shared 2-CPU host n = m = 20 (627 states) solves in
+/// 0.73 s, n = m = 22 (1 002) in 2.6 s and n = m = 28 (3 718) in 53 s.
+pub const OCCUPANCY_STATE_CEILING: u64 = 640;
+
+/// Largest [`ReducedChain::state_bound`] the reduced-chain evaluators
+/// accept: it caps the dense `S × S` solve at 512 MiB of `f64`. It
+/// admits `min(n, m) ≤ 28` at `p = 1` and n = 16, m = 8 at `p < 1`.
+pub const REDUCED_STATE_CEILING: u64 = 8_192;
+
+/// Whether the occupancy chain of `s` fits [`OCCUPANCY_STATE_CEILING`]
+/// (counted without building it).
+fn occupancy_chain_fits(s: &Scenario) -> bool {
+    partition_count(s.params.n(), s.params.min_nm(), OCCUPANCY_STATE_CEILING).is_some()
+}
+
+fn reduced_chain_fits(s: &Scenario) -> bool {
+    ReducedChain::new(s.params).state_bound() <= REDUCED_STATE_CEILING
+}
+
+/// The §3 hypotheses of the memory-priority models (the exact chain
+/// and the combinational approximation): no buffers, random
+/// arbitration, `p = 1`, uniform workload, constant service.
+fn memory_priority_model(s: &Scenario) -> bool {
+    analytic_domain(s)
+        && s.policy == BusPolicy::MemoryPriority
+        && !s.buffering.is_buffered()
+        && s.arbitration == ArbitrationKind::Random
+        && s.params.p() >= 1.0
+        && s.workload.is_uniform()
+        && s.has_paper_service()
+}
+
+/// The §4 hypotheses of the processor-priority reduced chain (alone or
+/// as the depth-aware approximation's anchor): random arbitration,
+/// uniform workload, constant service, a chain within its ceiling.
+fn processor_priority_chain(s: &Scenario) -> bool {
+    analytic_domain(s)
+        && s.policy == BusPolicy::ProcessorPriority
+        && s.arbitration == ArbitrationKind::Random
+        && s.workload.is_uniform()
+        && s.has_paper_service()
+        && reduced_chain_fits(s)
+}
+
 /// Shared domain guard of the stochastic simulators: a single bus and
 /// per-entity state that fits comfortably in memory.
 fn sim_domain(s: &Scenario) -> bool {
@@ -592,13 +636,7 @@ impl Evaluator for ExactChainEval {
     }
 
     fn supports(&self, s: &Scenario) -> bool {
-        analytic_domain(s)
-            && s.policy == BusPolicy::MemoryPriority
-            && !s.buffering.is_buffered()
-            && s.arbitration == ArbitrationKind::Random
-            && s.params.p() >= 1.0
-            && s.workload.is_uniform()
-            && s.has_paper_service()
+        memory_priority_model(s) && occupancy_chain_fits(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -607,7 +645,8 @@ impl Evaluator for ExactChainEval {
             scenario,
             self.supports(scenario),
             "the exact chain is defined for memory priority, no buffers, random arbitration, \
-             p = 1, uniform workload, constant service",
+             p = 1, uniform workload, constant service, within the occupancy-chain state \
+             ceiling",
         )?;
         let ebw = ExactChain::new(scenario.params).ebw()?;
         Ok(analytic_evaluation(self.name(), scenario, ebw))
@@ -625,12 +664,7 @@ impl Evaluator for ReducedChainEval {
     }
 
     fn supports(&self, s: &Scenario) -> bool {
-        analytic_domain(s)
-            && s.policy == BusPolicy::ProcessorPriority
-            && !s.buffering.is_buffered()
-            && s.arbitration == ArbitrationKind::Random
-            && s.workload.is_uniform()
-            && s.has_paper_service()
+        !s.buffering.is_buffered() && processor_priority_chain(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -639,7 +673,8 @@ impl Evaluator for ReducedChainEval {
             scenario,
             self.supports(scenario),
             "the reduced chain is defined for processor priority, no buffers, random \
-             arbitration, uniform workload, constant service",
+             arbitration, uniform workload, constant service, within the reduced-chain state \
+             ceiling",
         )?;
         let ebw = ReducedChain::new(scenario.params).ebw()?;
         Ok(analytic_evaluation(self.name(), scenario, ebw))
@@ -662,13 +697,7 @@ impl Evaluator for ApproxEval {
     }
 
     fn supports(&self, s: &Scenario) -> bool {
-        analytic_domain(s)
-            && s.policy == BusPolicy::MemoryPriority
-            && !s.buffering.is_buffered()
-            && s.arbitration == ArbitrationKind::Random
-            && s.params.p() >= 1.0
-            && s.workload.is_uniform()
-            && s.has_paper_service()
+        memory_priority_model(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -698,11 +727,7 @@ impl Evaluator for DepthApproxEval {
     }
 
     fn supports(&self, s: &Scenario) -> bool {
-        analytic_domain(s)
-            && s.policy == BusPolicy::ProcessorPriority
-            && s.arbitration == ArbitrationKind::Random
-            && s.workload.is_uniform()
-            && s.has_paper_service()
+        processor_priority_chain(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -711,7 +736,8 @@ impl Evaluator for DepthApproxEval {
             scenario,
             self.supports(scenario),
             "the depth-aware approximation covers processor priority, random arbitration, \
-             uniform workload, constant service (any buffer depth)",
+             uniform workload, constant service (any buffer depth), within the reduced-chain \
+             state ceiling",
         )?;
         let depth = scenario.buffering.effective_depth(scenario.params.n());
         let ebw = crate::analytic::approx::depth_aware_ebw(&scenario.params, depth)?;
@@ -800,8 +826,8 @@ impl Evaluator for PfqnEval {
             "the product-form model describes the buffered system under homogeneous thinking",
         )?;
         let ebw = match self.algorithm {
-            PfqnAlgorithm::Mva => pfqn_ebw_workload(&scenario.params, &scenario.workload)?,
-            PfqnAlgorithm::Buzen => pfqn_ebw_buzen_workload(&scenario.params, &scenario.workload)?,
+            PfqnAlgorithm::Mva => pfqn_ebw(&scenario.params, &scenario.workload)?,
+            PfqnAlgorithm::Buzen => pfqn_ebw_buzen(&scenario.params, &scenario.workload)?,
         };
         Ok(analytic_evaluation(self.name(), scenario, ebw))
     }
@@ -830,11 +856,9 @@ impl Evaluator for PfqnEval {
         };
         let populations: Vec<u32> = scenarios.iter().map(|s| s.params.n()).collect();
         let grouped = match self.algorithm {
-            PfqnAlgorithm::Mva => {
-                pfqn_ebw_workload_group(&first.params, &first.workload, &populations)
-            }
+            PfqnAlgorithm::Mva => pfqn_ebw_group(&first.params, &first.workload, &populations),
             PfqnAlgorithm::Buzen => {
-                pfqn_ebw_buzen_workload_group(&first.params, &first.workload, &populations)
+                pfqn_ebw_buzen_group(&first.params, &first.workload, &populations)
             }
         };
         match grouped {
@@ -865,6 +889,7 @@ impl Evaluator for CrossbarExactEval {
             && s.params.p() >= 1.0
             && s.arbitration == ArbitrationKind::Random
             && s.workload.is_uniform()
+            && occupancy_chain_fits(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -872,7 +897,8 @@ impl Evaluator for CrossbarExactEval {
             self.name(),
             scenario,
             self.supports(scenario),
-            "the exact crossbar chain is defined for p = 1 under the uniform workload",
+            "the exact crossbar chain is defined for p = 1 under the uniform workload, within \
+             the occupancy-chain state ceiling",
         )?;
         let ebw = crossbar_ebw_exact(scenario.params.n(), scenario.params.m())?;
         Ok(crossbar_evaluation(self.name(), scenario, ebw))
@@ -921,8 +947,6 @@ pub struct SimBudget {
     pub measure: u64,
     /// Master seed of the per-replication seed sequence.
     pub master_seed: u64,
-    /// How replications execute (parallel is bit-identical to serial).
-    pub mode: ExecutionMode,
     /// Which simulation engine advances the model (cycle-stepped vs
     /// event-driven; statistically equivalent, validated
     /// differentially).
@@ -941,7 +965,6 @@ impl SimBudget {
             warmup: 20_000,
             measure: 200_000,
             master_seed: 0x1985_0414, // ISCA'85 flavor
-            mode: ExecutionMode::Parallel,
             engine: EngineKind::Cycle,
             stopping: Stopping::Fixed,
         }
@@ -953,17 +976,9 @@ impl SimBudget {
     }
 
     /// The `busnet sweep` and `busnet serve` default: 4 replications ×
-    /// 50 000 measured cycles after 5 000 warmup cycles, serial within
-    /// each pair (parallelism comes from the sweep or the serve pool,
-    /// and results are bit-identical either way).
+    /// 50 000 measured cycles after 5 000 warmup cycles.
     pub fn sweep() -> Self {
-        SimBudget {
-            replications: 4,
-            warmup: 5_000,
-            measure: 50_000,
-            mode: ExecutionMode::Serial,
-            ..SimBudget::paper()
-        }
+        SimBudget { replications: 4, warmup: 5_000, measure: 50_000, ..SimBudget::paper() }
     }
 
     /// The `busnet sim` default: one run of 200 000 measured cycles
@@ -973,12 +988,6 @@ impl SimBudget {
     /// tenth of the measured window unless one is given.
     pub fn single_run() -> Self {
         SimBudget { replications: 8, master_seed: 42, ..SimBudget::paper() }
-    }
-
-    /// Returns a copy with the given execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Returns a copy with the given master seed.
@@ -1033,7 +1042,7 @@ impl Default for SimBudget {
 /// driver. Supports every scenario.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BusSimEval {
-    /// Replication budget and execution mode.
+    /// Replication budget.
     pub budget: SimBudget,
 }
 
@@ -1287,10 +1296,11 @@ impl Evaluator for BusSimEval {
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
         // Full reports rather than scalars: the per-processor counts
         // feed the fairness measures. Results stay in unit order, so
-        // parallel execution remains bit-identical to serial.
+        // the parallel fan-out is bit-identical to a serial run (a
+        // sweep's executor runs the same units with any thread count).
         let units: Vec<u32> = (0..self.work_units(scenario)).collect();
         let results =
-            parallel_map(&units, self.budget.mode, |_, &u| self.evaluate_unit(scenario, u));
+            parallel_map(&units, ExecutionMode::Parallel, |_, &u| self.evaluate_unit(scenario, u));
         let mut ok = Vec::with_capacity(results.len());
         for result in results {
             ok.push(result?);
@@ -1608,6 +1618,7 @@ impl Evaluator for MultibusEval {
             && s.params.p() >= 1.0
             && s.arbitration == ArbitrationKind::Random
             && s.workload.is_uniform()
+            && occupancy_chain_fits(s)
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Evaluation, CoreError> {
@@ -1615,7 +1626,8 @@ impl Evaluator for MultibusEval {
             self.name(),
             scenario,
             self.supports(scenario),
-            "the multiple-bus chain is defined for p = 1, uniform workload, unbuffered modules",
+            "the multiple-bus chain is defined for p = 1, uniform workload, unbuffered modules, \
+             within the occupancy-chain state ceiling",
         )?;
         let ebw = multibus_bw_exact(scenario.params.n(), scenario.params.m(), scenario.buses)?;
         let mut evaluation = crossbar_evaluation(self.name(), scenario, ebw);
@@ -2026,10 +2038,15 @@ mod tests {
         let s = Scenario::new(params(8, 8, 6)).with_buffering(Buffering::Buffered);
         let budget =
             SimBudget { replications: 4, warmup: 500, measure: 5_000, ..SimBudget::quick() };
-        let serial = BusSimEval::new(budget.with_mode(ExecutionMode::Serial)).evaluate(&s).unwrap();
-        let parallel =
-            BusSimEval::new(budget.with_mode(ExecutionMode::Parallel)).evaluate(&s).unwrap();
-        assert_eq!(serial, parallel);
+        let sim = BusSimEval::new(budget);
+        let sweep = |mode| run_sweep(std::slice::from_ref(&s), &[&sim], mode, |_, _, _| {});
+        let serial = sweep(ExecutionMode::Serial).remove(0).result.unwrap();
+        for threads in [2, 3] {
+            let parallel = sweep(ExecutionMode::Threads(threads)).remove(0).result.unwrap();
+            assert_eq!(serial, parallel, "{threads} threads");
+        }
+        // `evaluate` fans the same units out itself, to the same bits.
+        assert_eq!(serial, sim.evaluate(&s).unwrap());
     }
 
     #[test]
@@ -2206,6 +2223,34 @@ mod tests {
         let four = MultibusEval.evaluate(&base.with_buses(4).unwrap()).unwrap();
         assert!(four.ebw() >= one.ebw());
         assert!(four.metrics.bus_utilization <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn chain_evaluators_reject_points_above_their_ceilings() {
+        let mem = |n, m| Scenario::new(params(n, m, 8)).with_policy(BusPolicy::MemoryPriority);
+        let occupancy: [&dyn Evaluator; 3] = [&ExactChainEval, &CrossbarExactEval, &MultibusEval];
+        // n = m = 20 has 627 occupancy states; n = m = 21 has 792.
+        for e in occupancy {
+            assert!(e.supports(&mem(20, 20)), "{}", e.name());
+            for (n, m) in [(21, 21), (64, 64), (160, 256), (64, 8)] {
+                assert!(!e.supports(&mem(n, m)), "{} at ({n},{m})", e.name());
+                assert!(matches!(
+                    e.evaluate(&mem(n, m)),
+                    Err(CoreError::UnsupportedScenario { .. })
+                ));
+            }
+        }
+        let pp = |n, m, p| Scenario::new(params(n, m, 8).with_request_probability(p).unwrap());
+        let fits = [(512, 8, 1.0), (16, 8, 0.5)];
+        let too_large = [(192, 192, 1.0), (64, 64, 1.0), (12, 12, 0.5)];
+        for e in [&ReducedChainEval as &dyn Evaluator, &DepthApproxEval] {
+            for (n, m, p) in fits {
+                assert!(e.supports(&pp(n, m, p)), "{} at ({n},{m},p={p})", e.name());
+            }
+            for (n, m, p) in too_large {
+                assert!(!e.supports(&pp(n, m, p)), "{} at ({n},{m},p={p})", e.name());
+            }
+        }
     }
 
     #[test]

@@ -339,10 +339,6 @@ fn screen_pass(scenarios: &[Scenario], plan: &ScreenPlan) -> ScreenState {
 /// available, so callers can render progressively even under parallel
 /// execution. Out-of-domain pairs surface as
 /// `Err(UnsupportedScenario)` records rather than aborting the sweep.
-///
-/// Under `ExecutionMode::Parallel`, pair the sweep with serial-mode
-/// simulation evaluators (e.g. `SimBudget::with_mode(Serial)`) so the
-/// two levels don't oversubscribe the machine.
 pub fn run_sweep(
     scenarios: &[Scenario],
     evaluators: &[&dyn Evaluator],
@@ -442,8 +438,8 @@ fn retryable(err: &CoreError) -> bool {
 /// under [`OnFailure::Degrade`]. Invalid-parameter errors stay errors
 /// — degrading them would mask a caller bug — and cancellations stay
 /// cancellations. An invalid (non-finite) result stays a failure too:
-/// it marks a point past the analytic models' numeric range, where the
-/// exact-chain anchor would run for minutes.
+/// it marks a point past the analytic models' numeric range, and those
+/// models are the anchors the fallback would turn to.
 fn degradable(err: &CoreError) -> bool {
     matches!(
         err,

@@ -19,7 +19,6 @@
 //!   processor under [`Workload::Heterogeneous`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::SmallRng;
@@ -43,20 +42,6 @@ type SamplerPool<K, V> = OnceLock<Mutex<HashMap<K, Arc<V>>>>;
 static MODULE_POOL: SamplerPool<(String, u32), CategoricalAlias> = OnceLock::new();
 static THINK_POOL: SamplerPool<(String, u32), Vec<GeometricAlias>> = OnceLock::new();
 static GEOMETRIC_POOL: SamplerPool<u64, GeometricAlias> = OnceLock::new();
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Times a sampler construction was served from the shared pools
-/// (process-wide).
-pub fn sampler_pool_hits() -> u64 {
-    POOL_HITS.load(Ordering::Relaxed)
-}
-
-/// Times a sampler construction had to build a fresh table
-/// (process-wide).
-pub fn sampler_pool_misses() -> u64 {
-    POOL_MISSES.load(Ordering::Relaxed)
-}
 
 /// Fetches (or builds and caches) the pooled value under `key`. The
 /// tables are immutable deterministic functions of their inputs, so
@@ -68,10 +53,8 @@ where
 {
     let mut pool = pool.get_or_init(Mutex::default).lock().expect("sampler pool mutex");
     if let Some(found) = pool.get(&key) {
-        POOL_HITS.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(found);
     }
-    POOL_MISSES.fetch_add(1, Ordering::Relaxed);
     let built = Arc::new(build());
     if pool.len() < POOL_CAP {
         pool.insert(key, Arc::clone(&built));
@@ -346,8 +329,6 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(a.sample(8, &mut r1), fresh.sample(&mut r2));
         }
-        assert!(sampler_pool_hits() >= 2);
-        assert!(sampler_pool_misses() >= 1);
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! # Example
 //!
 //! ```
-//! use busnet_markov::combinatorics::{binomial, surjections, stirling2};
+//! use busnet_markov::combinatorics::{binomial, surjections};
 //!
 //! assert_eq!(binomial(8, 3), 56.0);
 //! // 2 processors onto 2 specific modules, both hit: 2 ways.
 //! assert_eq!(surjections(2, 2), 2.0);
-//! assert_eq!(stirling2(4, 2), 7.0);
 //! ```
 
 /// `n!` as an `f64`.
@@ -111,20 +110,6 @@ pub fn surjections(n: u32, k: u32) -> f64 {
     row[kk]
 }
 
-/// Stirling number of the second kind `S(n, k)`.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(busnet_markov::combinatorics::stirling2(5, 3), 25.0);
-/// ```
-pub fn stirling2(n: u32, k: u32) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    surjections(n, k) / factorial(k)
-}
-
 /// Probability that `n` independent uniform choices over `m` cells hit
 /// exactly `x` distinct cells: `C(m, x) · surj(n, x) / m^n`.
 ///
@@ -214,49 +199,46 @@ pub fn partitions(n: u32, max_parts: u32, max_part: u32) -> Vec<Vec<u32>> {
     out
 }
 
-/// Number of unrestricted partitions of `n` (OEIS A000041), for testing
-/// the enumerator.
+/// Number of partitions of `n` into at most `max_parts` parts (the
+/// state count of an occupancy chain with `n` customers on `max_parts`
+/// servers), or `None` as soon as it exceeds `ceiling`. The dynamic
+/// program adds one part size at a time and stops at the first size
+/// that pushes the count past the ceiling, so a huge system costs no
+/// more than a small one.
 ///
 /// # Example
 ///
 /// ```
-/// assert_eq!(busnet_markov::combinatorics::partition_count(8), 22.0);
+/// use busnet_markov::combinatorics::partition_count;
+/// assert_eq!(partition_count(8, 8, u64::MAX), Some(22)); // OEIS A000041
+/// assert_eq!(partition_count(8, 2, u64::MAX), Some(5));
+/// assert_eq!(partition_count(8, 8, 21), None);
 /// ```
-pub fn partition_count(n: u32) -> f64 {
-    partitions(n, n, n).len() as f64
-}
-
-/// All compositions of `n` into exactly `k` **non-negative** parts
-/// ("weak compositions").
-///
-/// # Example
-///
-/// ```
-/// use busnet_markov::combinatorics::weak_compositions;
-/// assert_eq!(weak_compositions(2, 2), vec![vec![0, 2], vec![1, 1], vec![2, 0]]);
-/// ```
-pub fn weak_compositions(n: u32, k: u32) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    if k == 0 {
-        if n == 0 {
-            out.push(Vec::new());
+pub fn partition_count(n: u32, max_parts: u32, ceiling: u64) -> Option<u64> {
+    let count = match max_parts.min(n) {
+        // No part (n = 0), or parts of size 1 only.
+        0 | 1 => u64::from(n == 0 || max_parts > 0),
+        // Parts of sizes 1 and 2 alone make n/2 + 1 partitions; below
+        // that the table has at most 2·ceiling + 2 entries.
+        _ if u64::from(n / 2) >= ceiling => return None,
+        parts => {
+            // Partitions into at most k parts ≡ partitions with parts ≤ k.
+            let n = n as usize;
+            let cap = ceiling.saturating_add(1);
+            let mut ways = vec![0u64; n + 1];
+            ways[0] = 1;
+            for part in 1..=parts as usize {
+                for total in part..=n {
+                    ways[total] = ways[total].saturating_add(ways[total - part]).min(cap);
+                }
+                if ways[n] > ceiling {
+                    return None;
+                }
+            }
+            ways[n]
         }
-        return out;
-    }
-    let mut cur = vec![0u32; k as usize];
-    fn rec(rem: u32, idx: usize, cur: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
-        if idx + 1 == cur.len() {
-            cur[idx] = rem;
-            out.push(cur.clone());
-            return;
-        }
-        for v in 0..=rem {
-            cur[idx] = v;
-            rec(rem - v, idx + 1, cur, out);
-        }
-    }
-    rec(n, 0, &mut cur, &mut out);
-    out
+    };
+    (count <= ceiling).then_some(count)
 }
 
 #[cfg(test)]
@@ -330,13 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn stirling2_triangle() {
-        assert_eq!(stirling2(0, 0), 1.0);
-        assert_eq!(stirling2(3, 2), 3.0);
-        assert_eq!(stirling2(6, 3), 90.0);
-    }
-
-    #[test]
     fn distinct_cells_pmf_normalizes() {
         for n in 1..=9u32 {
             for m in 1..=9u32 {
@@ -371,7 +346,33 @@ mod tests {
     fn partition_counts_match_a000041() {
         let expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231];
         for (n, &e) in expected.iter().enumerate() {
-            assert_eq!(partition_count(n as u32), f64::from(e), "p({n})");
+            assert_eq!(partition_count(n as u32, n as u32, u64::MAX), Some(e), "p({n})");
+            assert_eq!(partitions(n as u32, n as u32, n as u32).len() as u64, e, "p({n})");
+            assert_eq!(partition_count(n as u32, n as u32, e), Some(e), "p({n}) at its ceiling");
+            assert_eq!(partition_count(n as u32, n as u32, e - 1), None, "p({n}) over");
+        }
+        // Huge systems stop at the ceiling instead of counting on.
+        assert_eq!(partition_count(4096, 4096, 1_000), None);
+        assert_eq!(partition_count(u32::MAX, 2, 1_000), None);
+        assert_eq!(partition_count(u32::MAX, 1, 1_000), Some(1));
+        assert_eq!(partition_count(64, 8, 116_263), Some(116_263));
+    }
+
+    #[test]
+    fn distinct_cells_mean_is_streckers_formula() {
+        // The mean number of distinct modules hit by n fresh uniform
+        // requests is Strecker's m·(1 − (1 − 1/m)^n) (reference 17).
+        for n in [1u32, 2, 5, 8, 16] {
+            for m in [1u32, 3, 8, 16] {
+                let mean: f64 = distinct_cells_distribution(n, m)
+                    .iter()
+                    .enumerate()
+                    .map(|(x, p)| x as f64 * p)
+                    .sum();
+                let m_f = f64::from(m);
+                let strecker = m_f * (1.0 - (1.0 - 1.0 / m_f).powi(n as i32));
+                assert!((mean - strecker).abs() < 1e-10, "n={n} m={m}: {mean} vs {strecker}");
+            }
         }
     }
 
@@ -388,23 +389,5 @@ mod tests {
     #[test]
     fn partitions_zero_is_empty_partition() {
         assert_eq!(partitions(0, 4, 4), vec![Vec::<u32>::new()]);
-    }
-
-    #[test]
-    fn weak_compositions_count() {
-        // C(n + k - 1, k - 1) weak compositions of n into k parts.
-        for n in 0..=6u32 {
-            for k in 1..=4u32 {
-                let got = weak_compositions(n, k).len() as f64;
-                assert_eq!(got, binomial(n + k - 1, k - 1), "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn weak_compositions_sum_invariant() {
-        for comp in weak_compositions(7, 3) {
-            assert_eq!(comp.iter().sum::<u32>(), 7);
-        }
     }
 }

@@ -74,11 +74,6 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &S)> {
         self.states.iter().enumerate()
     }
-
-    /// All states in discovery order.
-    pub fn states(&self) -> &[S] {
-        &self.states
-    }
 }
 
 impl<S: fmt::Display> fmt::Display for StateSpace<S> {

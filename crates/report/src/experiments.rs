@@ -15,7 +15,7 @@
 //! [`Chart`]: crate::chart::Chart
 //! [`paper`]: crate::paper
 
-use busnet_core::analytic::pfqn::pfqn_ebw_deterministic_workload;
+use busnet_core::analytic::pfqn::pfqn_ebw_deterministic;
 use busnet_core::params::{ArbitrationKind, Buffering, BusPolicy, SystemParams, Workload};
 use busnet_core::scenario::{
     run_sweep, run_sweep_with, ApproxEval, BusSimEval, CrossbarExactEval, CrossbarSimEval,
@@ -68,8 +68,7 @@ fn crossbar_sim_eval(effort: Effort) -> CrossbarSimEval {
 /// Runs `evaluators` over `scenarios` (scenario-major order) and
 /// collects the evaluations, propagating the first failure. Everything
 /// runs on the calling thread: the sweep schedules each replication as
-/// its own work unit and never calls [`Evaluator::evaluate`], so the
-/// budget's [`SimBudget::mode`] does not apply here.
+/// its own work unit and never calls [`Evaluator::evaluate`].
 fn evaluate_all(
     scenarios: &[Scenario],
     evaluators: &[&dyn Evaluator],
@@ -705,13 +704,6 @@ pub struct ArbitrationReport {
     pub rows: Vec<FairnessRow>,
 }
 
-impl ArbitrationReport {
-    /// Rows for one arbitration kind, in operating-point order.
-    pub fn rows_for(&self, kind: ArbitrationKind) -> Vec<&FairnessRow> {
-        self.rows.iter().filter(|row| row.scenario.arbitration == kind).collect()
-    }
-}
-
 impl std::fmt::Display for ArbitrationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Arbitration fairness at the Table 3-4 operating points (event engine):")?;
@@ -943,7 +935,7 @@ pub struct HotspotRow {
     /// Half width of the EBW 95% confidence interval.
     pub half_width_95: f64,
     /// Deterministic-service AMVA with non-uniform visit ratios
-    /// ([`pfqn_ebw_deterministic_workload`]); `None` for unbuffered
+    /// ([`pfqn_ebw_deterministic`]); `None` for unbuffered
     /// rows (the product-form model queues at the modules).
     pub model_ebw: Option<f64>,
     /// The hot module's share of granted requests.
@@ -1039,7 +1031,7 @@ pub fn hotspot_workloads(effort: Effort) -> Result<HotspotReport, CoreError> {
                 let hot = e.hot_module.clone().expect("simulation reports module telemetry");
                 let model_ebw = buffering
                     .is_buffered()
-                    .then(|| pfqn_ebw_deterministic_workload(&params, &e.scenario.workload))
+                    .then(|| pfqn_ebw_deterministic(&params, &e.scenario.workload))
                     .transpose()?;
                 Ok(HotspotRow {
                     scenario: e.scenario.clone(),

@@ -1,85 +1,10 @@
-//! Batch-means analysis for single-run steady-state estimation.
+//! Batch-means stopping for single-run steady-state estimation.
 //!
 //! An alternative to independent replications: one long run is divided
-//! into fixed-size batches whose means are (approximately) independent,
-//! giving a confidence interval without re-warming the model.
+//! into batches whose means are (approximately) independent, giving a
+//! confidence interval without re-warming the model.
 
-use crate::stats::{student_t_975, RunningStats};
-
-/// Accumulates observations into fixed-size batches and summarizes the
-/// batch means.
-///
-/// # Example
-///
-/// ```
-/// use busnet_sim::batch::BatchMeans;
-///
-/// let mut bm = BatchMeans::new(100);
-/// for i in 0..1_000 {
-///     bm.record((i % 7) as f64);
-/// }
-/// assert_eq!(bm.completed_batches(), 10);
-/// assert!((bm.mean() - 3.0).abs() < 0.2);
-/// assert!(bm.half_width_95() < 0.5);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchMeans {
-    batch_size: u64,
-    in_batch: u64,
-    batch_sum: f64,
-    batch_stats: RunningStats,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans { batch_size, in_batch: 0, batch_sum: 0.0, batch_stats: RunningStats::new() }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.batch_sum += x;
-        self.in_batch += 1;
-        if self.in_batch == self.batch_size {
-            self.batch_stats.push(self.batch_sum / self.batch_size as f64);
-            self.batch_sum = 0.0;
-            self.in_batch = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batch_stats.count()
-    }
-
-    /// Grand mean over completed batches.
-    pub fn mean(&self) -> f64 {
-        self.batch_stats.mean()
-    }
-
-    /// Half width of the 95% confidence interval over batch means.
-    pub fn half_width_95(&self) -> f64 {
-        self.batch_stats.half_width_95()
-    }
-
-    /// Lag-1 autocorrelation proxy of the batch means: when far from 0
-    /// the batches are too small to be treated as independent.
-    /// Returns `None` with fewer than 3 batches.
-    pub fn batch_means(&self) -> &RunningStats {
-        &self.batch_stats
-    }
-
-    /// Width of a `(1−α)=0.95` interval with explicit degrees of
-    /// freedom (exposed for tests of the t-table plumbing).
-    pub fn t_quantile(&self) -> f64 {
-        student_t_975(self.batch_stats.count().saturating_sub(1))
-    }
-}
+use crate::stats::RunningStats;
 
 /// A sequential stopping rule over batch means: extend a run batch by
 /// batch until the 95% confidence half-width of the batch-mean estimate
@@ -114,7 +39,7 @@ pub struct SequentialStopping {
     min_batches: u64,
     /// `(mean, trust width)` of an external prior estimate, if any.
     prior: Option<(f64, f64)>,
-    means: BatchMeans,
+    means: RunningStats,
 }
 
 impl SequentialStopping {
@@ -135,7 +60,7 @@ impl SequentialStopping {
             target_half_width,
             min_batches,
             prior: None,
-            means: BatchMeans::new(1),
+            means: RunningStats::new(),
         }
     }
 
@@ -167,12 +92,12 @@ impl SequentialStopping {
 
     /// Records one completed batch's mean.
     pub fn record_batch(&mut self, value: f64) {
-        self.means.record(value);
+        self.means.push(value);
     }
 
     /// Number of batches recorded.
     pub fn batches(&self) -> u64 {
-        self.means.completed_batches()
+        self.means.count()
     }
 
     /// Grand mean over recorded batches.
@@ -183,11 +108,6 @@ impl SequentialStopping {
     /// Current 95% half-width over batch means.
     pub fn half_width_95(&self) -> f64 {
         self.means.half_width_95()
-    }
-
-    /// The target half-width the rule stops at.
-    pub fn target(&self) -> f64 {
-        self.target_half_width
     }
 
     /// Whether the stopping condition holds.
@@ -216,51 +136,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partial_batches_are_excluded() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..25 {
-            bm.record(1.0);
-        }
-        assert_eq!(bm.completed_batches(), 2);
-        assert_eq!(bm.mean(), 1.0);
-    }
-
-    #[test]
     fn constant_stream_zero_width() {
-        let mut bm = BatchMeans::new(5);
+        let mut stop = SequentialStopping::new(0.0, 2);
         for _ in 0..50 {
-            bm.record(3.5);
+            stop.record_batch(3.5);
         }
-        assert_eq!(bm.half_width_95(), 0.0);
-        assert_eq!(bm.mean(), 3.5);
+        assert_eq!(stop.half_width_95(), 0.0);
+        assert_eq!(stop.mean(), 3.5);
+        assert!(stop.satisfied(), "a zero-width target is met by a constant stream");
     }
 
     #[test]
-    fn alternating_stream_converges() {
-        let mut bm = BatchMeans::new(100);
-        for i in 0..10_000 {
-            bm.record(if i % 2 == 0 { 0.0 } else { 1.0 });
+    fn estimate_is_a_running_stats_over_the_batches() {
+        // The rule's estimate is exactly Welford's over the recorded
+        // batch means, bit for bit.
+        let batches = [4.93, 5.07, 4.88, 5.21, 4.99, 5.02, 4.95, 5.13, 4.9, 5.04];
+        let mut stop = SequentialStopping::new(0.05, 8);
+        let mut plain = RunningStats::new();
+        for (k, &b) in batches.iter().enumerate() {
+            stop.record_batch(b);
+            plain.push(b);
+            assert_eq!(stop.batches(), k as u64 + 1);
+            assert_eq!(stop.mean().to_bits(), plain.mean().to_bits(), "batch {k}");
+            assert_eq!(
+                stop.half_width_95().to_bits(),
+                plain.half_width_95().to_bits(),
+                "batch {k}"
+            );
         }
-        assert!((bm.mean() - 0.5).abs() < 1e-12);
-        assert!(bm.half_width_95() < 1e-9, "alternation averages out inside batches");
-    }
-
-    #[test]
-    fn t_quantile_tracks_batch_count() {
-        let mut bm = BatchMeans::new(1);
-        bm.record(1.0);
-        bm.record(2.0);
-        assert_eq!(bm.t_quantile(), 12.706); // df = 1
-        for _ in 0..200 {
-            bm.record(1.5);
-        }
-        assert!((bm.t_quantile() - 1.96).abs() < 0.03);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_size_rejected() {
-        BatchMeans::new(0);
     }
 
     #[test]

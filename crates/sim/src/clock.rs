@@ -15,7 +15,7 @@
 /// assert!(!w.is_measuring(99));
 /// assert!(w.is_measuring(100));
 /// assert!(w.is_measuring(1_099));
-/// assert!(w.is_done(1_100));
+/// assert!(!w.is_measuring(1_100));
 /// assert_eq!(w.measured_cycles(), 1_000);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -56,11 +56,6 @@ impl MeasurementWindow {
         cycle >= self.warmup && cycle < self.total_cycles()
     }
 
-    /// Whether the run is complete at `cycle`.
-    pub fn is_done(&self, cycle: u64) -> bool {
-        cycle >= self.total_cycles()
-    }
-
     /// The same window cut short so the run ends at cycle `total`
     /// (exclusive) — how an adaptive run that met its precision target
     /// early closes its books.
@@ -92,8 +87,7 @@ mod tests {
         assert!(w.is_measuring(10));
         assert!(w.is_measuring(14));
         assert!(!w.is_measuring(15));
-        assert!(w.is_done(15));
-        assert!(!w.is_done(14));
+        assert_eq!(w.total_cycles(), 15);
     }
 
     #[test]

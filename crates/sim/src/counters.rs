@@ -251,19 +251,9 @@ impl QueueOccupancy {
         QueueOccupancy::new(0, 0)
     }
 
-    /// Whether the tracker records anything.
-    pub fn is_enabled(&self) -> bool {
-        !self.levels.is_empty()
-    }
-
     /// The accumulated level histogram (weights are entity-cycles).
     pub fn histogram(&self) -> &Histogram {
         &self.histogram
-    }
-
-    /// Mean level over all entity-cycles recorded so far.
-    pub fn mean_level(&self) -> f64 {
-        self.histogram.mean()
     }
 
     /// Accumulated `level × measured-cycles` per entity (divide by the
@@ -445,11 +435,6 @@ impl SimCounters {
         self
     }
 
-    /// Whether windowed telemetry is enabled.
-    pub fn has_windows(&self) -> bool {
-        self.windows.is_some()
-    }
-
     /// Logs a workload phase transition: the chain enters `phase` at
     /// cycle `t` (no-op unless windowed telemetry is enabled; call with
     /// `t = 0` for the initial phase). Cycles must be non-decreasing.
@@ -595,13 +580,6 @@ impl SimCounters {
         self.bus_busy_channel_cycles -= self.clipped(start, end);
         let (lo, hi) = (start.max(self.window.warmup()), end.min(self.window.total_cycles()));
         self.window_busy_span(lo, hi, false);
-    }
-
-    /// Removes previously added module occupancy over `[start, end)`
-    /// (the service-stage analogue of
-    /// [`SimCounters::remove_channel_busy_span`]).
-    pub fn remove_module_busy_span(&mut self, start: u64, end: u64) {
-        self.module_busy_cycles -= self.clipped(start, end);
     }
 
     /// Records a granted request toward `module` at cycle `t` (no-op
@@ -800,7 +778,7 @@ mod tests {
     #[test]
     fn disabled_occupancy_is_inert() {
         let mut c = counters();
-        assert!(!c.input_occupancy.is_enabled());
+        assert!(c.input_occupancy.levels.is_empty());
         c.set_input_occupancy(0, 5, 3); // out-of-range entity: no-op
         c.finish_occupancy(30);
         assert_eq!(c.input_occupancy.histogram().count(), 0);
@@ -856,7 +834,7 @@ mod tests {
         assert_eq!(c.input_occupancy.level_cycles(), &[2 * 8 + 10, 0]);
         // Per-entity accumulators decompose the pooled histogram mean:
         // 26 level-cycles over 2 entities × 20 measured cycles.
-        assert!((c.input_occupancy.mean_level() - 26.0 / 40.0).abs() < 1e-12);
+        assert!((c.input_occupancy.histogram().mean() - 26.0 / 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -964,7 +942,7 @@ mod tests {
     #[test]
     fn disabled_windows_are_inert() {
         let mut c = counters();
-        assert!(!c.has_windows());
+        assert!(c.windows.is_none());
         c.record_phase(0, 1);
         c.record_return(12, 0, 10);
         assert!(c.window_series().is_none());

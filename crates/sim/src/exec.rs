@@ -68,15 +68,6 @@ impl ExecutionMode {
             ExecutionMode::Threads(n) => n.max(1),
         }
     }
-
-    /// Parses `serial` / `parallel` / a thread count.
-    pub fn from_name(name: &str) -> Option<ExecutionMode> {
-        match name {
-            "serial" => Some(ExecutionMode::Serial),
-            "parallel" => Some(ExecutionMode::Parallel),
-            n => n.parse().ok().map(ExecutionMode::Threads),
-        }
-    }
 }
 
 /// A shared deck of per-worker item ranges supporting lock-free local
@@ -182,19 +173,34 @@ impl StealDeck {
 /// Maps `f` over `items`, possibly in parallel, returning results in
 /// item order. `f` must be deterministic in `(index, item)` for the
 /// serial/parallel bit-identity guarantee to hold.
+///
+/// # Panics
+///
+/// A panic inside `f` is propagated to the caller once in-flight items
+/// finish.
 pub fn parallel_map<T, U, F>(items: &[T], mode: ExecutionMode, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    parallel_map_progress(items, mode, f, |_, _| {})
+    let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    parallel_consume(items, mode, f, |i, u| slots[i] = Some(u));
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("worker panicked before delivering its item"))
+        .collect()
 }
 
-/// [`parallel_map`] that hands each result to `consume` **by value**
-/// (in completion order, on the calling thread) instead of collecting
-/// a `Vec` — for callers that aggregate results themselves and would
-/// otherwise have to clone every item out of a progress callback.
+/// Maps `f` over `items`, possibly in parallel, handing each result to
+/// `consume` **by value** on the calling thread, once per item, in
+/// **completion order** (which under parallel execution need not be
+/// item order). Items are dealt out through the work-stealing deck.
+///
+/// # Panics
+///
+/// As [`parallel_map`].
 pub fn parallel_consume<T, U, F, P>(items: &[T], mode: ExecutionMode, f: F, mut consume: P)
 where
     T: Sync,
@@ -224,75 +230,11 @@ where
                 }
             });
         }
-        drop(tx);
+        drop(tx); // the receive loop ends when the last worker exits
         for (i, u) in rx {
             consume(i, u);
         }
     });
-}
-
-/// [`parallel_map`] with a completion callback.
-///
-/// `on_done(index, &result)` runs on the calling thread, once per item,
-/// in **completion order** (which under parallel execution need not be
-/// item order — the returned `Vec` always is).
-///
-/// # Panics
-///
-/// A panic inside `f` is propagated to the caller once in-flight items
-/// finish.
-pub fn parallel_map_progress<T, U, F, P>(
-    items: &[T],
-    mode: ExecutionMode,
-    f: F,
-    mut on_done: P,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-    P: FnMut(usize, &U),
-{
-    let workers = mode.threads().min(items.len().max(1));
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let u = f(i, item);
-                on_done(i, &u);
-                u
-            })
-            .collect();
-    }
-
-    let deck = StealDeck::deal(items.len(), workers);
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, U)>();
-        for w in 0..workers {
-            let tx = tx.clone();
-            let deck = &deck;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some(i) = deck.next(w) {
-                    if tx.send((i, f(i, &items[i]))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx); // the receive loop ends when the last worker exits
-        for (i, u) in rx {
-            on_done(i, &u);
-            slots[i] = Some(u);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("worker panicked before delivering its item"))
-        .collect()
 }
 
 /// A boxed unit of pool work.
@@ -441,14 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_names_parse() {
-        assert_eq!(ExecutionMode::from_name("serial"), Some(ExecutionMode::Serial));
-        assert_eq!(ExecutionMode::from_name("parallel"), Some(ExecutionMode::Parallel));
-        assert_eq!(ExecutionMode::from_name("3"), Some(ExecutionMode::Threads(3)));
-        assert_eq!(ExecutionMode::from_name("warp"), None);
-    }
-
-    #[test]
     fn parallel_results_match_serial_in_order() {
         let items: Vec<u64> = (0..257).collect();
         let f = |i: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(i as u32);
@@ -467,18 +401,19 @@ mod tests {
     #[test]
     fn progress_reports_every_item_exactly_once() {
         let items: Vec<u32> = (0..100).collect();
-        let mut seen = HashSet::new();
-        let out = parallel_map_progress(
-            &items,
-            ExecutionMode::Threads(4),
-            |_, &x| x + 1,
-            |i, &u| {
-                assert_eq!(u, items[i] + 1);
-                assert!(seen.insert(i), "item {i} reported twice");
-            },
-        );
-        assert_eq!(seen.len(), items.len());
-        assert_eq!(out, (1..=100).collect::<Vec<u32>>());
+        for mode in [ExecutionMode::Serial, ExecutionMode::Threads(4)] {
+            let mut seen = HashSet::new();
+            parallel_consume(
+                &items,
+                mode,
+                |_, &x| x + 1,
+                |i, u| {
+                    assert_eq!(u, items[i] + 1);
+                    assert!(seen.insert(i), "item {i} consumed twice");
+                },
+            );
+            assert_eq!(seen.len(), items.len(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! * [`seeds`] — deterministic seed derivation (SplitMix64) so that every
 //!   replication and every component gets an independent, reproducible
 //!   stream.
-//! * [`stats`] — running statistics (Welford), Jain fairness,
-//!   batch means, and Student-t confidence intervals.
+//! * [`stats`] — running statistics (Welford), Jain fairness and
+//!   Student-t confidence intervals.
 //! * [`clock`] — a measurement window: warmup + measurement phases over a
 //!   cycle counter.
 //! * [`exec`] — deterministic work-stealing fan-out of independent
@@ -37,8 +37,7 @@
 //!   concurrent batch completions never interleave output rows.
 //! * [`replication`] — summary statistics over independent
 //!   replications (mean and Student-t confidence interval).
-//! * [`batch`] — batch-means analysis for single-run estimation,
-//!   including the sequential stopping rule
+//! * [`batch`] — the sequential stopping rule over batch means
 //!   ([`batch::SequentialStopping`]) behind adaptive-precision
 //!   replication.
 //! * [`histogram`] — fixed-width histograms for waiting-time
@@ -82,15 +81,3 @@ pub mod replication;
 pub mod seeds;
 pub mod sink;
 pub mod stats;
-
-pub use arbiter::{Arbiter, ArbitrationKind};
-pub use batch::BatchMeans;
-pub use bits::DenseBits;
-pub use clock::MeasurementWindow;
-pub use counters::{QueueOccupancy, SimCounters};
-pub use event::{EngineKind, EventQueue};
-pub use exec::{parallel_map, parallel_map_progress, ExecutionMode};
-pub use histogram::Histogram;
-pub use replication::ReplicationSummary;
-pub use seeds::SeedSequence;
-pub use stats::RunningStats;

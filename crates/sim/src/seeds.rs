@@ -32,11 +32,6 @@ impl SeedSequence {
         SeedSequence { master }
     }
 
-    /// The master seed this sequence was built from.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// The `index`-th derived seed.
     pub fn stream(&self, index: u64) -> u64 {
         splitmix64(self.master.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
@@ -82,7 +77,7 @@ mod tests {
         let parent = SeedSequence::new(7);
         let child = parent.child(0);
         assert_ne!(parent.stream(0), child.stream(0));
-        assert_ne!(parent.child(0).master(), parent.child(1).master());
+        assert_ne!(parent.child(0).master, parent.child(1).master);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub fn jain_fairness_index(values: impl IntoIterator<Item = f64>) -> f64 {
 ///
 /// let stats: RunningStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].into_iter().collect();
 /// assert_eq!(stats.mean(), 5.0);
-/// assert_eq!(stats.population_variance(), 4.0);
+/// assert_eq!(stats.sample_variance(), 32.0 / 7.0);
 /// assert_eq!(stats.min(), 2.0);
 /// assert_eq!(stats.max(), 9.0);
 /// ```
@@ -83,15 +83,6 @@ impl RunningStats {
             0.0
         } else {
             self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 

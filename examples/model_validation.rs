@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example model_validation [-- --quick]`
 
 use busnet::core::analytic::pfqn::pfqn_ebw;
-use busnet::core::params::{Buffering, SystemParams};
+use busnet::core::params::{Buffering, SystemParams, Workload};
 use busnet::core::sim::bus::BusSimBuilder;
 use busnet::core::sim::service::ServiceTime;
 use busnet::report::experiments::{model_validation, Effort};
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .measure_cycles(200_000)
         .build()
         .run();
-    let mva = pfqn_ebw(&params)?;
+    let mva = pfqn_ebw(&params, &Workload::Uniform)?;
     println!("  constant service (the real system): EBW = {:.3}", constant.ebw());
     println!("  geometric service (discrete exp.) : EBW = {:.3}", geometric.ebw());
     println!("  exponential product-form model    : EBW = {mva:.3}");

@@ -6,7 +6,7 @@
 
 use busnet::core::analytic::pfqn::pfqn_ebw;
 use busnet::core::analytic::reduced::ReducedChain;
-use busnet::core::params::{Buffering, BusPolicy, SystemParams};
+use busnet::core::params::{Buffering, BusPolicy, SystemParams, Workload};
 use busnet::core::sim::bus::BusSimBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analytic cross-checks.
     let reduced = ReducedChain::new(params).ebw()?;
     println!("Reduced (i,c,e,b) chain (unbuffered model): EBW = {reduced:.3}");
-    let exponential = pfqn_ebw(&params)?;
+    let exponential = pfqn_ebw(&params, &Workload::Uniform)?;
     println!("Product-form model (buffered, exponential): EBW = {exponential:.3}");
     println!("\nThe exponential model is pessimistic against the constant-time");
     println!("simulation — exactly the effect paper section 6 reports.");

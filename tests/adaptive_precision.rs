@@ -12,7 +12,6 @@ use busnet::core::params::Buffering;
 use busnet::core::params::SystemParams;
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget, Stopping};
 use busnet::core::sim::bus::{AdaptivePlan, BusSimBuilder, EngineKind, UnitBudget};
-use busnet::sim::exec::ExecutionMode;
 
 fn table34_points() -> Vec<Scenario> {
     ScenarioGrid::new()
@@ -30,7 +29,6 @@ fn fixed4_budget() -> SimBudget {
         warmup: 4_000,
         measure: 40_000,
         master_seed: 0x1985_0414,
-        mode: ExecutionMode::Serial,
         engine: EngineKind::Event,
         stopping: Stopping::Fixed,
     }

@@ -12,7 +12,7 @@ mod common;
 use common::stats::{assert_ci_overlap, assert_welch_agree, master_seed};
 
 use busnet::core::params::{ArbitrationKind, Buffering, SystemParams, Workload};
-use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget};
+use busnet::core::scenario::{run_sweep, BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget};
 use busnet::core::sim::bus::{BusSimBuilder, EngineKind};
 use busnet::sim::exec::ExecutionMode;
 use busnet::sim::seeds::SeedSequence;
@@ -141,14 +141,15 @@ fn engines_agree_under_every_arbitration_kind() {
 fn event_engine_bit_identical_across_execution_modes() {
     let scenario =
         Scenario::new(SystemParams::new(8, 16, 8).unwrap()).with_buffering(Buffering::Buffered);
-    let serial = BusSimEval::new(budget(EngineKind::Event).with_mode(ExecutionMode::Serial))
-        .evaluate(&scenario)
-        .unwrap();
+    let sim = BusSimEval::new(budget(EngineKind::Event));
+    let result = |mode| {
+        run_sweep(std::slice::from_ref(&scenario), &[&sim], mode, |_, _, _| {}).remove(0).result
+    };
+    let serial = result(ExecutionMode::Serial).unwrap();
     for mode in [ExecutionMode::Parallel, ExecutionMode::Threads(3)] {
-        let parallel =
-            BusSimEval::new(budget(EngineKind::Event).with_mode(mode)).evaluate(&scenario).unwrap();
-        assert_eq!(serial, parallel, "{mode:?}");
+        assert_eq!(serial, result(mode).unwrap(), "{mode:?}");
     }
+    assert_eq!(serial, sim.evaluate(&scenario).unwrap());
 }
 
 /// Repeated runs with the same master seed are identical down to the

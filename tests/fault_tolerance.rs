@@ -542,6 +542,25 @@ fn non_finite_ebw_is_a_failed_row_and_never_cached() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The degrade fallback picks its analytic anchor by `supports()`, so
+/// the chain evaluators' state ceilings bound it too: this sweep trips
+/// its unit budget at once, and the anchor search once built a
+/// 160 × 256 exact chain and ran on past 15 s. It now returns the
+/// point's one degraded row. (No wall-clock assert: an unbounded solve
+/// would hang the test instead.)
+#[test]
+fn degrade_fallback_never_builds_an_oversized_chain() {
+    let args = "sweep --n 160 --m 256 --r 8 --policy mem --evaluator sim --unit-budget 1000";
+    let args: Vec<&str> = args.split(' ').chain(["--on-failure", "degrade"]).collect();
+    let out = busnet(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), 1, "{stdout}");
+    assert!(rows[0].starts_with("160,256,8,1,mem,"), "{stdout}");
+    assert!(rows[0].contains(",degraded,"), "{stdout}");
+}
+
 /// No hostile CLI input may reach a panic or an abort: every parse
 /// error must come back as a clean diagnostic with exit code 1, and an
 /// oversized axis range or sweep grid is rejected before it allocates.

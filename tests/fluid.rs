@@ -23,7 +23,6 @@ fn sim_budget() -> SimBudget {
         warmup: 2_000,
         measure: 20_000,
         master_seed: 0x1985_0414,
-        mode: ExecutionMode::Serial,
         engine: EngineKind::Event,
         stopping: Stopping::Fixed,
     }

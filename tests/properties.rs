@@ -126,7 +126,7 @@ proptest! {
     fn occupancy_rows_stochastic(n in 1u32..7, m in 1u32..7, b in 1u32..5) {
         let params = SystemParams::new(n, m, 3).unwrap();
         for d in [
-            Discipline::Crossbar,
+            Discipline::MultipleBus { buses: n.min(m) },
             Discipline::MultipleBus { buses: b },
             Discipline::MultiplexedMemoryPriority,
         ] {
@@ -243,7 +243,6 @@ proptest! {
             replications: 2,
             warmup: 20,
             measure: 200,
-            mode: ExecutionMode::Serial,
             ..SimBudget::quick()
         };
         for kind in ALL_EVALUATOR_KINDS {
@@ -304,6 +303,44 @@ fn approximations_answer_where_m_to_the_n_overflows() {
         let ebw = record.result.unwrap().ebw();
         let bound = f64::from(record.scenario.params.min_nm());
         assert!(ebw.is_finite() && ebw > 0.0 && ebw <= bound, "{label}: EBW {ebw}");
+    }
+}
+
+/// At n = 512, m = 8 both surjection counts behind the reduced chain's
+/// `P2` pass `f64::MAX`, which once made a transition row NaN. The
+/// chain now answers through a sweep, unbuffered and through the
+/// depth-aware approximation; n = m = 192, whose chain is past the
+/// reduced-chain state ceiling, is out of domain instead of a solve of
+/// tens of thousands of states.
+#[test]
+fn reduced_chain_answers_where_surjections_overflow() {
+    let point = |n, m| Scenario::new(SystemParams::new(n, m, 8).unwrap());
+    let buffered = |n, m| point(n, m).with_buffering(Buffering::Buffered);
+    let scenarios = [point(512, 8), buffered(512, 8), buffered(192, 192)];
+    let evaluators =
+        [EvaluatorKind::Reduced, EvaluatorKind::DepthApprox].map(|k| k.build(SimBudget::quick()));
+    let refs: Vec<&dyn Evaluator> = evaluators.iter().map(|e| e.as_ref()).collect();
+    let options = SweepOptions::new(ExecutionMode::Serial);
+    let answered: Vec<(String, f64)> = run_sweep_with(&scenarios, &refs, &options, |_, _, _| {})
+        .into_iter()
+        .filter_map(|r| {
+            assert_eq!(r.status, UnitStatus::Ok, "{:?}", r.result);
+            let label = format!("{} @ {}", r.evaluator, r.scenario.label());
+            match r.result {
+                Ok(e) => Some((label, e.ebw())),
+                Err(err) => {
+                    assert!(matches!(err, CoreError::UnsupportedScenario { .. }), "{label}: {err}");
+                    None
+                }
+            }
+        })
+        .collect();
+    // Out of domain: `reduced` on a buffered point, and n = m = 192.
+    let labels: Vec<&str> = answered.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels.len(), 3, "{labels:?}");
+    assert!(labels.iter().all(|l| l.contains("n=512 m=8")), "{labels:?}");
+    for (label, ebw) in &answered {
+        assert!(ebw.is_finite() && *ebw > 0.0 && *ebw <= 8.0, "{label}: {ebw}");
     }
 }
 

@@ -2,7 +2,7 @@
 //! simulation.
 
 use busnet::core::analytic::pfqn::{buffered_network, pfqn_ebw, pfqn_ebw_buzen};
-use busnet::core::params::{Buffering, SystemParams};
+use busnet::core::params::{Buffering, SystemParams, Workload};
 use busnet::core::sim::bus::BusSimBuilder;
 use busnet::core::sim::service::ServiceTime;
 use busnet::queueing::{ClosedNetwork, Station, StationKind};
@@ -11,8 +11,8 @@ use busnet::queueing::{ClosedNetwork, Station, StationKind};
 fn mva_equals_buzen_on_paper_networks() {
     for (n, m, r) in [(2u32, 2u32, 2u32), (8, 16, 8), (16, 4, 24), (8, 8, 12)] {
         let params = SystemParams::new(n, m, r).unwrap();
-        let a = pfqn_ebw(&params).unwrap();
-        let b = pfqn_ebw_buzen(&params).unwrap();
+        let a = pfqn_ebw(&params, &Workload::Uniform).unwrap();
+        let b = pfqn_ebw_buzen(&params, &Workload::Uniform).unwrap();
         assert!((a - b).abs() < 1e-8 * a.max(1.0), "({n},{m},{r}): {a} vs {b}");
     }
 }
@@ -20,7 +20,7 @@ fn mva_equals_buzen_on_paper_networks() {
 #[test]
 fn population_conservation_in_solutions() {
     let params = SystemParams::new(8, 8, 8).unwrap().with_request_probability(0.5).unwrap();
-    let net = buffered_network(&params).unwrap();
+    let net = buffered_network(&params, &Workload::Uniform.module_distribution(8), 1).unwrap();
     for solver in [ClosedNetwork::mva, ClosedNetwork::buzen] {
         let sol = solver(&net, 8).unwrap();
         assert!(sol.population_residual() < 1e-8, "residual {}", sol.population_residual());
@@ -35,7 +35,7 @@ fn geometric_service_sim_approaches_mva() {
     // deterministic in the DES).
     for (n, m, r) in [(8u32, 8u32, 8u32), (8, 16, 12)] {
         let params = SystemParams::new(n, m, r).unwrap();
-        let mva = pfqn_ebw(&params).unwrap();
+        let mva = pfqn_ebw(&params, &Workload::Uniform).unwrap();
         let sim = BusSimBuilder::new(params)
             .buffering(Buffering::Buffered)
             .memory_service(ServiceTime::Geometric { mean: f64::from(r) })
@@ -56,7 +56,7 @@ fn exponential_model_is_pessimistic_for_constant_service() {
     // under-predicts the constant-service system's EBW.
     for (n, m, r) in [(8u32, 4u32, 8u32), (8, 8, 8), (12, 16, 16)] {
         let params = SystemParams::new(n, m, r).unwrap();
-        let mva = pfqn_ebw(&params).unwrap();
+        let mva = pfqn_ebw(&params, &Workload::Uniform).unwrap();
         let sim = BusSimBuilder::new(params)
             .buffering(Buffering::Buffered)
             .seed(13)
@@ -78,7 +78,7 @@ fn exponential_gap_is_substantial_at_memory_pressure() {
     // central-server mapping measures ≈ 15% against the sim — see
     // EXPERIMENTS.md for the discussion).
     let params = SystemParams::new(8, 8, 8).unwrap();
-    let mva = pfqn_ebw(&params).unwrap();
+    let mva = pfqn_ebw(&params, &Workload::Uniform).unwrap();
     let sim = BusSimBuilder::new(params)
         .buffering(Buffering::Buffered)
         .seed(17)

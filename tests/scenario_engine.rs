@@ -105,15 +105,17 @@ fn parallel_sim_evaluations_bit_identical_to_serial() {
             .with_policy(BusPolicy::MemoryPriority)
             .with_buffering(Buffering::Buffered),
     ];
-    for scenario in &scenarios {
-        let serial =
-            BusSimEval::new(budget.with_mode(ExecutionMode::Serial)).evaluate(scenario).unwrap();
-        for mode in [ExecutionMode::Parallel, ExecutionMode::Threads(2), ExecutionMode::Threads(7)]
-        {
-            let parallel = BusSimEval::new(budget.with_mode(mode)).evaluate(scenario).unwrap();
-            assert_eq!(serial, parallel, "{mode:?} diverged on {}", scenario.label());
-        }
+    let sim = BusSimEval::new(budget);
+    let results = |mode| -> Vec<_> {
+        run_sweep(&scenarios, &[&sim], mode, |_, _, _| {}).into_iter().map(|r| r.result).collect()
+    };
+    let serial = results(ExecutionMode::Serial);
+    for mode in [ExecutionMode::Parallel, ExecutionMode::Threads(2), ExecutionMode::Threads(7)] {
+        assert_eq!(serial, results(mode), "{mode:?} diverged");
     }
+    // `evaluate` fans the same units out itself, to the same bits.
+    let evaluated: Vec<_> = scenarios.iter().map(|s| sim.evaluate(s)).collect();
+    assert_eq!(serial, evaluated);
 }
 
 /// The whole sweep is deterministic: same grid, same budget, same

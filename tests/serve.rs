@@ -204,6 +204,25 @@ fn bad_requests_earn_structured_errors_and_the_connection_survives() {
             "fresh",
             r#""ebw":5.000000"#,
         ),
+        // Both surjection counts of the reduced chain pass f64::MAX at
+        // n = 512, m = 8, which once made its rows NaN; it now answers.
+        (
+            r#"{"id":18,"scenario":{"n":512,"m":8,"r":8},"evaluator":"reduced"}"#,
+            "fresh",
+            r#""ebw":4.999660"#,
+        ),
+        (
+            r#"{"id":19,"scenario":{"n":512,"m":8,"r":8,"buffering":"buffered"},"evaluator":"approx-depth"}"#,
+            "fresh",
+            r#""ebw":4.999830"#,
+        ),
+        // Past the reduced-chain state ceiling: out of domain at once,
+        // never a dense solve of tens of thousands of states.
+        (
+            r#"{"id":20,"scenario":{"n":192,"m":192,"r":8,"buffering":"buffered"},"evaluator":"approx-depth"}"#,
+            "failed",
+            "does not support",
+        ),
         // A crossbar run far past its unit budget once ran to the end
         // before failing; it now stops within one slice.
         (

@@ -131,7 +131,7 @@ fn cached_sweep_is_bit_identical_across_modes() {
         .bufferings([Buffering::Buffered])
         .scenarios()
         .unwrap();
-    let sim = BusSimEval::new(SimBudget::quick().with_mode(ExecutionMode::Serial));
+    let sim = BusSimEval::new(SimBudget::quick());
     let pfqn = PfqnEval { algorithm: PfqnAlgorithm::Mva };
     let evaluators: [&dyn Evaluator; 2] = [&sim, &pfqn];
 
@@ -174,7 +174,7 @@ fn disk_cache_round_trip_runs_zero_evaluators_when_warm() {
         .workloads([Workload::Uniform, Workload::hot_spot(0.4, 0).unwrap()])
         .scenarios()
         .unwrap();
-    let sim = BusSimEval::new(SimBudget::quick().with_mode(ExecutionMode::Serial));
+    let sim = BusSimEval::new(SimBudget::quick());
     // Every exact/pfqn pair of this grid (processor priority, no
     // buffers) is out of domain: the planner settles those pairs before
     // the cache, so they never count as misses, cold or warm.
@@ -247,7 +247,7 @@ fn duplicate_pairs_evaluate_once() {
     let base = Scenario::new(SystemParams::new(3, 4, 4).unwrap());
     let other = Scenario::new(SystemParams::new(4, 4, 4).unwrap());
     let scenarios = vec![base.clone(), other, base.clone()];
-    let sim = BusSimEval::new(SimBudget::quick().with_mode(ExecutionMode::Serial));
+    let sim = BusSimEval::new(SimBudget::quick());
     let evaluators: [&dyn Evaluator; 1] = [&sim];
     let cache = EvalCache::new();
     let records = run_sweep_with(
@@ -273,10 +273,7 @@ fn cache_keys_separate_evaluator_configurations() {
     let quick = BusSimEval::new(SimBudget::quick());
     let paper = BusSimEval::new(SimBudget::paper());
     let reseeded = BusSimEval::new(SimBudget::quick().with_master_seed(7));
-    let serial = BusSimEval::new(SimBudget::quick().with_mode(ExecutionMode::Serial));
     let k = |ev: &BusSimEval| cache_key(&ev.config_fingerprint(), &scenario);
     assert_ne!(k(&quick), k(&paper), "budget is part of the key");
     assert_ne!(k(&quick), k(&reseeded), "seed is part of the key");
-    // Parallel vs serial execution is bit-identical, so it shares lines.
-    assert_eq!(k(&quick), k(&serial));
 }

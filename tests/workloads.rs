@@ -16,14 +16,13 @@ mod common;
 
 use common::stats::{assert_chi_square_fits, assert_ci_overlap, assert_rel_within, master_seed};
 
-use busnet::core::analytic::pfqn::{pfqn_ebw_deterministic_workload, pfqn_ebw_workload};
+use busnet::core::analytic::pfqn::{pfqn_ebw, pfqn_ebw_deterministic};
 use busnet::core::params::{Buffering, BusPolicy, SystemParams, Workload};
 use busnet::core::scenario::{BusSimEval, Evaluator, Scenario, ScenarioGrid, SimBudget, Stopping};
 use busnet::core::sim::bus::{BusSimBuilder, SimReport};
 use busnet::core::sim::crossbar::CrossbarSim;
 use busnet::core::CoreError;
 use busnet::sim::event::{CategoricalAlias, EngineKind};
-use busnet::sim::exec::ExecutionMode;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -200,7 +199,6 @@ fn budget(engine: EngineKind) -> SimBudget {
         warmup: 3_000,
         measure: 30_000,
         master_seed: master_seed(),
-        mode: ExecutionMode::Serial,
         engine,
         stopping: Stopping::Fixed,
     }
@@ -327,8 +325,8 @@ fn pfqn_visit_ratios_track_simulation_at_table34_points() {
                 .with_buffering(Buffering::Buffered)
                 .with_workload(workload.clone());
             let measured = sim.evaluate(&scenario).unwrap().ebw();
-            let det = pfqn_ebw_deterministic_workload(&params, &workload).unwrap();
-            let exp = pfqn_ebw_workload(&params, &workload).unwrap();
+            let det = pfqn_ebw_deterministic(&params, &workload).unwrap();
+            let exp = pfqn_ebw(&params, &workload).unwrap();
             let label = format!("m={m} frac={fraction}");
             if fraction <= 0.2 {
                 // Mild skew: the constant-service model stays within a
@@ -420,7 +418,6 @@ proptest! {
             warmup: 1_000,
             measure: 10_000,
             master_seed: master_seed(),
-            mode: ExecutionMode::Serial,
             engine: EngineKind::Event,
             stopping: Stopping::Fixed,
         };
